@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <numeric>
 #include <string_view>
 #include <vector>
 
@@ -49,7 +50,6 @@ std::string to_string(ConcatAlgorithm a) {
 
 std::string to_string(ExecutionPath p) {
   switch (p) {
-    case ExecutionPath::kCompiled: return "compiled";
     case ExecutionPath::kReference: return "reference";
     case ExecutionPath::kPipelined: return "pipelined";
   }
@@ -136,69 +136,13 @@ std::int64_t resolve_hier_group(std::int64_t group) {
   return group != 0 ? group : default_hier_group();
 }
 
-/// Whether the plain-overload compiled path should run the hierarchical
-/// composite: the knob resolves past kOff, the geometry is non-degenerate,
-/// and the caller didn't force a non-Bruck flat algorithm (`bruck_family`).
+/// Whether a plain contiguous call should run the hierarchical composite:
+/// the knob resolves past kOff, the geometry is non-degenerate, and the
+/// caller didn't force a non-Bruck flat algorithm (`bruck_family`).
 bool hier_eligible(HierMode resolved, std::int64_t n, std::int64_t block_bytes,
                    bool bruck_family) {
   return resolved != HierMode::kOff && n > 1 && block_bytes > 0 &&
          bruck_family;
-}
-
-/// Microseconds since `start` on the wall clock (the adaptive tuner's
-/// feedback signal).
-double wall_since_us(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration_cast<
-             std::chrono::duration<double, std::micro>>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-/// The shared compiled tail of both collectives: fetch (or lower once) the
-/// plan for `key`, execute it through the requested executor, and report
-/// the cache/round/byte statistics.  `wall_out`, when given, receives the
-/// measured execution wall time in microseconds (also carried on the
-/// PlanEvent).
-int run_compiled(mps::Communicator& comm, const PlanKey& key,
-                 std::span<const std::byte> send, std::span<std::byte> recv,
-                 std::int64_t block_bytes, int start_round, bool pipelined,
-                 const LayoutPair& layouts = {},
-                 double* wall_out = nullptr) {
-  const PlanCache::Lookup lookup = PlanCache::global().get_or_lower(key);
-  const auto start = std::chrono::steady_clock::now();
-  const PlanExecution ex =
-      pipelined
-          ? lookup.plan->run_pipelined(comm, send, recv, block_bytes,
-                                       start_round, layouts)
-          : lookup.plan->run(comm, send, recv, block_bytes, start_round,
-                             layouts);
-  const double wall_us = wall_since_us(start);
-  mps::PlanEvent event{lookup.cache_hit, lookup.plan->round_count(),
-                       ex.bytes_sent};
-  event.wall_us = wall_us;
-  comm.record_plan_event(event);
-  if (wall_out != nullptr) *wall_out = wall_us;
-  return ex.next_round;
-}
-
-/// run_compiled's irregular twin: fetch/lower the vector plan and execute
-/// it against the VectorView.
-int run_compiled_v(mps::Communicator& comm, const PlanKey& key,
-                   std::span<const std::byte> send, std::span<std::byte> recv,
-                   const VectorView& view, int start_round, bool pipelined,
-                   const LayoutPair& layouts = {}) {
-  const PlanCache::Lookup lookup = PlanCache::global().get_or_lower(key);
-  const auto start = std::chrono::steady_clock::now();
-  const PlanExecution ex =
-      pipelined
-          ? lookup.plan->run_pipelined(comm, send, recv, view, start_round,
-                                       layouts)
-          : lookup.plan->run(comm, send, recv, view, start_round, layouts);
-  mps::PlanEvent event{lookup.cache_hit, lookup.plan->round_count(),
-                       ex.bytes_sent};
-  event.wall_us = wall_since_us(start);
-  comm.record_plan_event(event);
-  return ex.next_round;
 }
 
 /// Packed canonical layout: block i at the prefix sum of sizes [0, i).
@@ -226,97 +170,481 @@ std::vector<std::int64_t> layout_prefix_displs(
   return displs;
 }
 
-/// The resolved execution recipe of an allgather call (shared by the plain
-/// and layout overloads): canonicalized algorithm and last-round strategy
-/// (so equal geometries share a key) plus the resolved segment knob.
-struct ConcatRecipe {
-  ConcatAlgorithm algorithm = ConcatAlgorithm::kBruck;
-  model::ConcatLastRound strategy = model::ConcatLastRound::kAuto;
-  int segments = 1;
-  /// Modeled measures behind the choice (zero unless pipelined — only the
-  /// segment tuner and the progress engine read them).
-  model::CostMetrics predicted;
-};
-
-ConcatRecipe resolve_concat_recipe(std::int64_t n, int k,
-                                   std::int64_t block_bytes,
-                                   const AllgatherOptions& options,
-                                   bool pipelined) {
-  ConcatRecipe recipe;
-  recipe.algorithm = options.algorithm == ConcatAlgorithm::kAuto
-                         ? ConcatAlgorithm::kBruck
-                         : options.algorithm;
-  recipe.strategy =
-      recipe.algorithm == ConcatAlgorithm::kBruck
-          ? model::resolve_concat_last_round(n, k, block_bytes,
-                                             options.last_round)
-          : options.last_round;
-  if (pipelined) {
-    // Needed for forced counts too: resolve_segment_knob clamps them against
-    // the per-message floor derived from these metrics.
-    switch (recipe.algorithm) {
-      case ConcatAlgorithm::kBruck:
-      case ConcatAlgorithm::kAuto:
-        recipe.predicted =
-            model::concat_bruck_cost(n, k, block_bytes, recipe.strategy);
-        break;
-      case ConcatAlgorithm::kFolklore:
-        recipe.predicted = model::concat_folklore_cost(n, block_bytes);
-        break;
-      case ConcatAlgorithm::kRing:
-        recipe.predicted = model::concat_ring_cost(n, block_bytes);
-        break;
-    }
+/// Column `rank` of the n×n count matrix: what every rank sends to `rank`.
+std::vector<std::int64_t> count_column(std::span<const std::int64_t> counts,
+                                       std::int64_t n, std::int64_t rank) {
+  std::vector<std::int64_t> col(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    col[static_cast<std::size_t>(i)] =
+        counts[static_cast<std::size_t>(i * n + rank)];
   }
-  recipe.segments = model::resolve_segment_knob(
-      options.segments, pipelined, model::effective_machine(options.machine),
-      recipe.predicted);
-  return recipe;
+  return col;
 }
 
-/// The resolved algorithm/radix/measures of an alltoallv call's shape
-/// statistics (shared by the blocking, layout, and nonblocking overloads).
-struct IndexvRecipe {
-  IndexAlgorithm algorithm = IndexAlgorithm::kBruck;
-  std::int64_t radix = 2;
-  model::CostMetrics predicted;
-};
+/// The preconditions every uniform layout overload shares: equal logical
+/// block sizes and buffers covering the layouts' physical spans.  Returns
+/// whether the pair is genuinely strided (false: both contiguous — the
+/// call is the plain one over the leading blocks).
+bool strided_layouts(std::span<const std::byte> send,
+                     std::span<const std::byte> recv, const Layout& send_layout,
+                     const Layout& recv_layout, std::int64_t send_blocks,
+                     std::int64_t recv_blocks) {
+  BRUCK_REQUIRE_MSG(recv_layout.block_bytes() == send_layout.block_bytes(),
+                    "send and recv layouts must carry the same logical "
+                    "block size");
+  BRUCK_REQUIRE_MSG(
+      static_cast<std::int64_t>(send.size()) >=
+              send_layout.span_bytes(send_blocks) &&
+          static_cast<std::int64_t>(recv.size()) >=
+              recv_layout.span_bytes(recv_blocks),
+      "buffers must cover the layouts' physical span");
+  return !(send_layout.is_contiguous() && recv_layout.is_contiguous());
+}
 
-IndexvRecipe resolve_indexv_recipe(std::int64_t n, int k, std::int64_t total,
-                                   std::int64_t max_pair,
-                                   const AlltoallvOptions& options) {
+/// The fields every resolver fills the same way.
+OpSpec make_spec(OpSpec::Family family, std::span<const std::byte> send,
+                 std::span<std::byte> recv, std::int64_t block_bytes,
+                 const model::LinearModel& machine, int segments,
+                 int start_round) {
+  OpSpec spec;
+  spec.family = family;
+  spec.send = send;
+  spec.recv = recv;
+  spec.block_bytes = block_bytes;
+  // A default-machine caller gets the calibrated constants when a fabric
+  // bootstrap published them (see model::effective_machine).
+  spec.machine = model::effective_machine(machine);
+  spec.requested_segments = segments;
+  spec.start_round = start_round;
+  return spec;
+}
+
+/// Attach a uniform layout overload's layouts to `spec`, whose block_bytes
+/// is already their logical block size: genuinely strided layouts are
+/// kept (value copies); a contiguous pair resolves as the plain call over
+/// the leading blocks — same plan, same cache key, same zero-copy path.
+void attach_layouts(OpSpec& spec, const LayoutPair& layouts,
+                    std::int64_t send_blocks, std::int64_t recv_blocks) {
+  if (layouts.send == nullptr) return;
+  if (!strided_layouts(spec.send, spec.recv, *layouts.send, *layouts.recv,
+                       send_blocks, recv_blocks)) {
+    spec.send = spec.send.first(
+        static_cast<std::size_t>(send_blocks * spec.block_bytes));
+    spec.recv = spec.recv.first(
+        static_cast<std::size_t>(recv_blocks * spec.block_bytes));
+    return;
+  }
+  spec.send_layout = *layouts.send;
+  spec.recv_layout = *layouts.recv;
+  spec.has_layout = true;
+}
+
+std::uint64_t spec_layout_digest(const OpSpec& spec) {
+  return spec.has_layout ? layout_digest(&spec.send_layout, &spec.recv_layout)
+                         : 0;
+}
+
+/// The segment knob resolved against the spec's machine and measures: a
+/// learned hint stands in for an unset request and goes through the same
+/// clamp as a user-requested count.
+int resolve_segments(const OpSpec& spec, int hint = 0) {
+  return model::resolve_segment_knob(
+      spec.requested_segments == 0 && hint > 0 ? hint
+                                               : spec.requested_segments,
+      /*pipelined=*/true, spec.machine, spec.predicted);
+}
+
+model::CostMetrics concat_cost(ConcatAlgorithm algorithm, std::int64_t n,
+                               int k, std::int64_t block_bytes,
+                               model::ConcatLastRound strategy) {
+  switch (algorithm) {
+    case ConcatAlgorithm::kFolklore:
+      return model::concat_folklore_cost(n, block_bytes);
+    case ConcatAlgorithm::kRing:
+      return model::concat_ring_cost(n, block_bytes);
+    case ConcatAlgorithm::kBruck:
+    case ConcatAlgorithm::kAuto:
+      break;
+  }
+  return model::concat_bruck_cost(n, k, block_bytes, strategy);
+}
+
+/// A flat allgather's key and measures: canonicalized algorithm and
+/// last-round strategy, so equal geometries share a key.
+void key_concat(OpSpec& spec, ConcatAlgorithm requested,
+                model::ConcatLastRound last_round, std::int64_t n, int k) {
+  const ConcatAlgorithm algorithm = requested == ConcatAlgorithm::kAuto
+                                        ? ConcatAlgorithm::kBruck
+                                        : requested;
+  const model::ConcatLastRound strategy =
+      algorithm == ConcatAlgorithm::kBruck
+          ? model::resolve_concat_last_round(n, k, spec.block_bytes,
+                                             last_round)
+          : last_round;
+  spec.predicted = concat_cost(algorithm, n, k, spec.block_bytes, strategy);
+  spec.key = concat_plan_key(algorithm, n, k, strategy, spec.block_bytes,
+                             resolve_segments(spec), spec_layout_digest(spec));
+}
+
+OpSpec resolve_alltoall(mps::Communicator& comm,
+                        std::span<const std::byte> send,
+                        std::span<std::byte> recv, std::int64_t block_bytes,
+                        const AlltoallOptions& options,
+                        const LayoutPair& layouts = {}) {
+  const std::int64_t n = comm.size();
+  const int k = comm.ports();
+  OpSpec spec = make_spec(OpSpec::Family::kAlltoall, send, recv, block_bytes,
+                          options.machine, options.segments,
+                          options.start_round);
+  attach_layouts(spec, layouts, n, n);
+  const HierMode hmode = resolve_hier_mode(options.hier);
+  if (!spec.has_layout &&
+      hier_eligible(hmode, n, block_bytes,
+                    options.algorithm == IndexAlgorithm::kAuto ||
+                        options.algorithm == IndexAlgorithm::kBruck)) {
+    const model::HierChoice choice = model::pick_index_plan_cached(
+        n, k, block_bytes, model::effective_two_level(options.hier_machine),
+        options.radix_set, resolve_hier_group(options.hier_group));
+    if (hmode == HierMode::kOn || choice.hier) {
+      HierShape shape;
+      shape.group = choice.group;
+      shape.inter_radix = choice.inter_radix;
+      spec.composite = std::make_shared<const CompositePlan>(
+          CompositePlan::lower_index_hier(n, k, comm.rank(), block_bytes,
+                                          shape));
+      return spec;
+    }
+  }
+  const AlltoallPlan plan = plan_alltoall(n, k, block_bytes, options);
+  spec.predicted = plan.predicted;
+  spec.key = index_plan_key(plan.algorithm, n, k, plan.radix,
+                            resolve_segments(spec, plan.segments_hint),
+                            spec_layout_digest(spec));
+  return spec;
+}
+
+OpSpec resolve_allgather(mps::Communicator& comm,
+                         std::span<const std::byte> send,
+                         std::span<std::byte> recv, std::int64_t block_bytes,
+                         const AllgatherOptions& options,
+                         const LayoutPair& layouts = {}) {
+  const std::int64_t n = comm.size();
+  const int k = comm.ports();
+  OpSpec spec = make_spec(OpSpec::Family::kAllgather, send, recv, block_bytes,
+                          options.machine, options.segments,
+                          options.start_round);
+  attach_layouts(spec, layouts, 1, n);
+  const HierMode hmode = resolve_hier_mode(options.hier);
+  if (!spec.has_layout &&
+      hier_eligible(hmode, n, block_bytes,
+                    options.algorithm == ConcatAlgorithm::kAuto ||
+                        options.algorithm == ConcatAlgorithm::kBruck)) {
+    const model::HierChoice choice = model::pick_concat_plan_cached(
+        n, k, block_bytes, model::effective_two_level(options.hier_machine),
+        options.last_round, resolve_hier_group(options.hier_group));
+    if (hmode == HierMode::kOn || choice.hier) {
+      HierShape shape;
+      shape.group = choice.group;
+      shape.strategy = options.last_round;
+      spec.composite = std::make_shared<const CompositePlan>(
+          CompositePlan::lower_concat_hier(n, k, comm.rank(), block_bytes,
+                                           shape));
+      return spec;
+    }
+  }
+  key_concat(spec, options.algorithm, options.last_round, n, k);
+  return spec;
+}
+
+/// The largest of a vector family's counts, which must be non-negative.
+std::int64_t max_count(std::span<const std::int64_t> counts) {
+  std::int64_t max = 0;
+  for (const std::int64_t c : counts) {
+    BRUCK_REQUIRE_MSG(c >= 0, "counts must be non-negative");
+    max = std::max(max, c);
+  }
+  return max;
+}
+
+/// An alltoallv call before tuning: checked layouts and owned shape tables,
+/// empty displacements defaulted to the packed canonical layout (in layout
+/// space for strided layouts).  The reference oracle needs no more.
+OpSpec indexv_shape(mps::Communicator& comm, std::span<const std::byte> send,
+                    std::span<std::byte> recv,
+                    std::span<const std::int64_t> counts,
+                    std::span<const std::int64_t> send_displs,
+                    std::span<const std::int64_t> recv_displs,
+                    const AlltoallvOptions& options,
+                    const LayoutPair& layouts) {
+  const std::int64_t n = comm.size();
+  const std::int64_t rank = comm.rank();
+  BRUCK_REQUIRE_MSG(static_cast<std::int64_t>(counts.size()) == n * n,
+                    "alltoallv needs the full n*n count matrix");
+  const std::int64_t max_pair = max_count(counts);
+
+  OpSpec spec = make_spec(OpSpec::Family::kAlltoallv, send, recv, 0,
+                          options.machine, options.segments,
+                          options.start_round);
+  if (layouts.send != nullptr &&
+      !(layouts.send->is_contiguous() && layouts.recv->is_contiguous())) {
+    BRUCK_REQUIRE_MSG(layouts.send->block_bytes() >= max_pair &&
+                          layouts.recv->block_bytes() >= max_pair,
+                      "layouts must cover the largest pair count");
+    spec.send_layout = *layouts.send;
+    spec.recv_layout = *layouts.recv;
+    spec.has_layout = true;
+  }
+  spec.counts.assign(counts.begin(), counts.end());
+  const std::span<const std::int64_t> row = counts.subspan(
+      static_cast<std::size_t>(rank * n), static_cast<std::size_t>(n));
+  if (send_displs.empty()) {
+    spec.send_displs = spec.has_layout
+                           ? layout_prefix_displs(spec.send_layout, row)
+                           : prefix_displs(row);
+  } else {
+    spec.send_displs.assign(send_displs.begin(), send_displs.end());
+  }
+  if (recv_displs.empty()) {
+    const std::vector<std::int64_t> col = count_column(counts, n, rank);
+    spec.recv_displs = spec.has_layout
+                           ? layout_prefix_displs(spec.recv_layout, col)
+                           : prefix_displs(col);
+  } else {
+    spec.recv_displs.assign(recv_displs.begin(), recv_displs.end());
+  }
+  BRUCK_REQUIRE(static_cast<std::int64_t>(spec.send_displs.size()) == n);
+  BRUCK_REQUIRE(static_cast<std::int64_t>(spec.recv_displs.size()) == n);
+  spec.pad_bytes = max_pair;
+  return spec;
+}
+
+OpSpec resolve_alltoallv(mps::Communicator& comm,
+                         std::span<const std::byte> send,
+                         std::span<std::byte> recv,
+                         std::span<const std::int64_t> counts,
+                         std::span<const std::int64_t> send_displs,
+                         std::span<const std::int64_t> recv_displs,
+                         const AlltoallvOptions& options,
+                         const LayoutPair& layouts = {}) {
+  const std::int64_t n = comm.size();
+  const int k = comm.ports();
+  OpSpec spec = indexv_shape(comm, send, recv, counts, send_displs,
+                             recv_displs, options, layouts);
+  const std::int64_t max_pair = spec.pad_bytes;
+  const std::int64_t total =
+      std::accumulate(counts.begin(), counts.end(), std::int64_t{0});
+
+  // Algorithm, radix and measures from the shape statistics.
   const std::int64_t mean =
       std::max<std::int64_t>(1, (total + n * n - 1) / (n * n));
-  const model::LinearModel machine = model::effective_machine(options.machine);
-  IndexvRecipe recipe;
-  recipe.algorithm = options.algorithm;
-  recipe.radix = std::max<std::int64_t>(2, n);
+  IndexAlgorithm algorithm = options.algorithm;
+  std::int64_t radix = std::max<std::int64_t>(2, n);
   switch (options.algorithm) {
     case IndexAlgorithm::kDirect:
-      recipe.predicted = model::index_direct_cost(n, k, max_pair);
+      spec.predicted = model::index_direct_cost(n, k, max_pair);
       break;
     case IndexAlgorithm::kPairwise:
-      recipe.predicted = model::index_pairwise_cost(n, k, max_pair);
+      spec.predicted = model::index_pairwise_cost(n, k, max_pair);
       break;
     case IndexAlgorithm::kBruck:
-      recipe.radix = options.radix != 0
-                         ? options.radix
-                         : model::pick_index_radix_cached(
-                               n, k, mean, machine, options.radix_set)
-                               .radix;
-      recipe.predicted = model::index_bruck_cost(n, recipe.radix, k, mean);
+      radix = options.radix != 0
+                  ? options.radix
+                  : model::pick_index_radix_cached(n, k, mean, spec.machine,
+                                                   options.radix_set)
+                        .radix;
+      spec.predicted = model::index_bruck_cost(n, radix, k, mean);
       break;
     case IndexAlgorithm::kAuto: {
       const model::VectorIndexChoice choice = model::pick_indexv_cached(
-          n, k, total, max_pair, machine, options.radix_set);
-      recipe.algorithm = choice.direct ? IndexAlgorithm::kDirect
-                                       : IndexAlgorithm::kBruck;
-      recipe.radix = choice.radix;
-      recipe.predicted = choice.predicted;
+          n, k, total, max_pair, spec.machine, options.radix_set);
+      algorithm =
+          choice.direct ? IndexAlgorithm::kDirect : IndexAlgorithm::kBruck;
+      radix = choice.radix;
+      spec.predicted = choice.predicted;
       break;
     }
   }
-  return recipe;
+  spec.key = indexv_plan_key(algorithm, n, k, radix, shape_digest(counts),
+                             resolve_segments(spec), spec_layout_digest(spec));
+  return spec;
+}
+
+/// An allgatherv call before tuning: owned shape tables, empty recv
+/// displacements defaulted to the packed canonical layout.
+OpSpec concatv_shape(mps::Communicator& comm, std::span<const std::byte> send,
+                     std::span<std::byte> recv,
+                     std::span<const std::int64_t> counts,
+                     std::span<const std::int64_t> recv_displs,
+                     const AllgathervOptions& options) {
+  const std::int64_t n = comm.size();
+  BRUCK_REQUIRE_MSG(static_cast<std::int64_t>(counts.size()) == n,
+                    "allgatherv needs one count per rank");
+  OpSpec spec = make_spec(OpSpec::Family::kAllgatherv, send, recv, 0,
+                          options.machine, options.segments,
+                          options.start_round);
+  spec.pad_bytes = max_count(counts);
+  spec.counts.assign(counts.begin(), counts.end());
+  if (recv_displs.empty()) {
+    spec.recv_displs = prefix_displs(counts);
+  } else {
+    spec.recv_displs.assign(recv_displs.begin(), recv_displs.end());
+  }
+  BRUCK_REQUIRE(static_cast<std::int64_t>(spec.recv_displs.size()) == n);
+  return spec;
+}
+
+OpSpec resolve_allgatherv(mps::Communicator& comm,
+                          std::span<const std::byte> send,
+                          std::span<std::byte> recv,
+                          std::span<const std::int64_t> counts,
+                          std::span<const std::int64_t> recv_displs,
+                          const AllgathervOptions& options) {
+  const std::int64_t n = comm.size();
+  const int k = comm.ports();
+  OpSpec spec = concatv_shape(comm, send, recv, counts, recv_displs, options);
+  const std::int64_t total =
+      std::accumulate(counts.begin(), counts.end(), std::int64_t{0});
+  const ConcatAlgorithm algorithm =
+      options.algorithm == ConcatAlgorithm::kAuto ? ConcatAlgorithm::kBruck
+                                                  : options.algorithm;
+  // Segment tuning sees the mean block (wire messages carry trimmed true
+  // sizes, so the mean is the honest per-message estimate).
+  spec.predicted = concat_cost(algorithm, n, k, (total + n - 1) / n,
+                               model::ConcatLastRound::kColumnGranular);
+  spec.key = concatv_plan_key(algorithm, n, k, shape_digest(counts),
+                              resolve_segments(spec));
+  return spec;
+}
+
+OpSpec resolve_reduce_scatter(mps::Communicator& comm,
+                              std::span<const std::byte> send,
+                              std::span<std::byte> recv,
+                              std::int64_t block_bytes, const ReduceOp& op,
+                              const ReduceScatterOptions& options,
+                              const LayoutPair& layouts = {}) {
+  const std::int64_t n = comm.size();
+  const int k = comm.ports();
+  BRUCK_REQUIRE(block_bytes >= 0);
+  BRUCK_REQUIRE_MSG(op.elem_bytes() >= 1 && block_bytes % op.elem_bytes() == 0,
+                    "block size must be a whole number of op elements");
+  OpSpec spec = make_spec(OpSpec::Family::kReduceScatter, send, recv,
+                          block_bytes, options.machine, options.segments,
+                          options.start_round);
+  spec.op = op;
+  attach_layouts(spec, layouts, n, 1);
+  const HierMode hmode = resolve_hier_mode(options.hier);
+  if (!spec.has_layout &&
+      hier_eligible(hmode, n, block_bytes,
+                    options.algorithm == ReduceAlgorithm::kAuto ||
+                        options.algorithm == ReduceAlgorithm::kBruck)) {
+    const model::HierChoice choice = model::pick_reduce_plan_cached(
+        n, k, block_bytes, model::effective_two_level(options.hier_machine),
+        options.radix_set, resolve_hier_group(options.hier_group));
+    if (hmode == HierMode::kOn || choice.hier) {
+      HierShape shape;
+      shape.group = choice.group;
+      shape.inter_radix = choice.inter_radix;
+      spec.composite = std::make_shared<const CompositePlan>(
+          CompositePlan::lower_reduce_hier(n, k, comm.rank(), block_bytes, op,
+                                           shape));
+      return spec;
+    }
+  }
+  const detail::ReducePlanChoice choice = detail::resolve_reduce_algorithm(
+      n, k, block_bytes, options.algorithm, options.radix, options.machine,
+      options.radix_set);
+  spec.predicted = choice.predicted;
+  spec.key = reduce_plan_key(choice.algorithm, n, k, choice.radix, op,
+                             resolve_segments(spec, choice.segments_hint),
+                             spec_layout_digest(spec));
+  return spec;
+}
+
+/// Allreduce = reduce-scatter over ⌈elems/n⌉-element blocks (zero-padded
+/// tail) chained into an allgather of the reduced blocks, both stages
+/// resolved up front and run as one composite.  Layouts only steer the
+/// staging copies — the wire stages run contiguous, so neither stage key
+/// carries a layout digest.
+OpSpec resolve_allreduce(mps::Communicator& comm,
+                         std::span<const std::byte> send,
+                         std::span<std::byte> recv, const ReduceOp& op,
+                         const AllreduceOptions& options,
+                         const LayoutPair& layouts = {}) {
+  const std::int64_t n = comm.size();
+  const int k = comm.ports();
+  const std::int64_t ew = op.elem_bytes();
+  const std::int64_t bytes = layouts.send != nullptr
+                                 ? layouts.send->block_bytes()
+                                 : static_cast<std::int64_t>(send.size());
+  if (layouts.send == nullptr) {
+    BRUCK_REQUIRE(static_cast<std::int64_t>(recv.size()) == bytes);
+  }
+  BRUCK_REQUIRE_MSG(ew >= 1 && bytes % ew == 0,
+                    "payload must be a whole number of op elements");
+  OpSpec spec = make_spec(OpSpec::Family::kAllreduce, send, recv, bytes,
+                          options.machine, options.segments,
+                          options.start_round);
+  spec.op = op;
+  attach_layouts(spec, layouts, 1, 1);
+
+  const std::int64_t b = ceil_div(bytes / ew, n) * ew;
+  spec.block_bytes = b;
+  const detail::ReducePlanChoice choice = detail::resolve_reduce_algorithm(
+      n, k, b, options.algorithm, options.radix, options.machine,
+      options.radix_set);
+  spec.predicted = choice.predicted;
+  const PlanKey reduce_key =
+      reduce_plan_key(choice.algorithm, n, k, choice.radix, op,
+                      resolve_segments(spec, choice.segments_hint));
+  OpSpec concat = spec;  // the allgather stage's recipe
+  concat.has_layout = false;
+  key_concat(concat, options.concat, model::ConcatLastRound::kAuto, n, k);
+  spec.composite = std::make_shared<const CompositePlan>(
+      CompositePlan::allreduce_chain(reduce_key, concat.key, n, b));
+  return spec;
+}
+
+/// Run a resolved blocking call inline on the caller's stack.  A fully
+/// tuner-driven flat Bruck alltoall or reduce-scatter (`tuned_radix`, no
+/// forced segment count) takes part in live adaptive exploration when a
+/// tuner installed the hook: the decided radix/segments re-key the op, and
+/// the measured wall time is echoed back with the decided config — not its
+/// clamped resolution — so the learner can match the arm it scheduled.
+int run_blocking(mps::Communicator& comm, OpSpec spec,
+                 bool tuned_radix = false) {
+  const bool reduce = spec.family == OpSpec::Family::kReduceScatter;
+  const std::uint8_t bruck =
+      reduce ? static_cast<std::uint8_t>(ReduceAlgorithm::kBruck)
+             : static_cast<std::uint8_t>(IndexAlgorithm::kBruck);
+  if (!tuned_radix || spec.requested_segments != 0 || spec.composite ||
+      spec.has_layout || spec.key.algorithm != bruck ||
+      !model::adaptive_hook_installed()) {
+    return run_serial_op(comm, spec, spec.start_round).next_round;
+  }
+  const model::TunerQuery query = model::make_tuner_query(
+      reduce ? model::TunedFamily::kReduceScatter
+             : model::TunedFamily::kIndexRadix,
+      comm.size(), comm.ports(), spec.block_bytes, spec.machine);
+  model::TunerConfig base;
+  base.radix = spec.key.radix;
+  base.segments = spec.key.segments;
+  const model::TunerConfig decided = model::adaptive_decision(query, base);
+  if (decided.radix > 0) spec.key.radix = decided.radix;
+  if (decided.segments > 0) spec.key.segments = decided.segments;
+  // Lower outside the timed region: the learner compares executions.
+  (void)PlanCache::global().get_or_lower(spec.key);
+  const auto start = std::chrono::steady_clock::now();
+  const int next = run_serial_op(comm, spec, spec.start_round).next_round;
+  model::ExecutionSample sample;
+  sample.query = query;
+  sample.config = decided;
+  sample.wall_us = std::chrono::duration<double, std::micro>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  sample.predicted_us = reduce ? spec.machine.predict_reduce_us(spec.predicted)
+                               : spec.machine.predict_us(spec.predicted);
+  model::notify_execution(sample);
+  return next;
 }
 
 }  // namespace
@@ -362,13 +690,17 @@ AlltoallPlan plan_alltoall(std::int64_t n, int k, std::int64_t block_bytes,
   return plan;
 }
 
+// -- Blocking entry points ---------------------------------------------------
+//
+// kReference runs the inline oracle; every other call is its family's
+// resolver plus run_serial_op — the same resolved op the i* twin submits.
+
 int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
              std::span<std::byte> recv, std::int64_t block_bytes,
              const AlltoallOptions& options) {
-  const AlltoallPlan plan =
-      plan_alltoall(comm.size(), comm.ports(), block_bytes, options);
-
   if (options.path == ExecutionPath::kReference) {
+    const AlltoallPlan plan =
+        plan_alltoall(comm.size(), comm.ports(), block_bytes, options);
     switch (plan.algorithm) {
       case IndexAlgorithm::kDirect:
         return index_direct(comm, send, recv, block_bytes,
@@ -384,81 +716,9 @@ int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
     BRUCK_ENSURE_MSG(false, "unreachable");
     return options.start_round;
   }
-
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
-
-  // Hierarchical dispatch: when the knob engages, lower this rank's
-  // leader-model composite and run it stage by stage (the composite records
-  // its own per-stage PlanEvents).
-  const HierMode hmode = resolve_hier_mode(options.hier);
-  if (hier_eligible(hmode, comm.size(), block_bytes,
-                    options.algorithm == IndexAlgorithm::kAuto ||
-                        options.algorithm == IndexAlgorithm::kBruck)) {
-    const model::HierChoice choice = model::pick_index_plan_cached(
-        comm.size(), comm.ports(), block_bytes,
-        model::effective_two_level(options.hier_machine), options.radix_set,
-        resolve_hier_group(options.hier_group));
-    if (hmode == HierMode::kOn || choice.hier) {
-      HierShape shape;
-      shape.group = choice.group;
-      shape.inter_radix = choice.inter_radix;
-      const CompositePlan cp = CompositePlan::lower_index_hier(
-          comm.size(), comm.ports(), comm.rank(), block_bytes, shape);
-      return cp
-          .run(comm, send, recv, /*op=*/nullptr, options.start_round,
-               pipelined)
-          .next_round;
-    }
-  }
-
-  // Compiled hot path: the tuner's radix and segment choices are part of
-  // the key.  A learned segment force rides the plan as a hint and goes
-  // through the same clamp as a user-requested count.
-  const model::LinearModel machine = model::effective_machine(options.machine);
-  std::int64_t radix = plan.radix;
-  int segments = model::resolve_segment_knob(
-      options.segments == 0 && plan.segments_hint > 0 ? plan.segments_hint
-                                                      : options.segments,
-      pipelined, machine, plan.predicted);
-
-  // Live adaptive exploration: only for fully tuner-driven calls (no forced
-  // radix or segment count), and only when a tuner installed the hook.  The
-  // decided config — not its clamped resolution — is echoed back with the
-  // measured wall time so the learner can match the arm it scheduled.
-  const bool tuner_driven = plan.algorithm == IndexAlgorithm::kBruck &&
-                            options.radix == 0 && options.segments == 0;
-  model::TunerQuery query{};
-  model::TunerConfig decided{};
-  bool adaptive = false;
-  if (tuner_driven && model::adaptive_hook_installed()) {
-    query = model::make_tuner_query(model::TunedFamily::kIndexRadix,
-                                    comm.size(), comm.ports(), block_bytes,
-                                    machine);
-    model::TunerConfig base;
-    base.radix = radix;
-    base.segments = segments;
-    decided = model::adaptive_decision(query, base);
-    adaptive = true;
-    if (decided.radix > 0) radix = decided.radix;
-    if (decided.segments > 0) segments = decided.segments;
-  }
-
-  double wall_us = 0.0;
-  const int next = run_compiled(
-      comm,
-      index_plan_key(plan.algorithm, comm.size(), comm.ports(), radix,
-                     segments),
-      send, recv, block_bytes, options.start_round, pipelined, {},
-      adaptive ? &wall_us : nullptr);
-  if (adaptive) {
-    model::ExecutionSample sample;
-    sample.query = query;
-    sample.config = decided;
-    sample.wall_us = wall_us;
-    sample.predicted_us = machine.predict_us(plan.predicted);
-    model::notify_execution(sample);
-  }
-  return next;
+  return run_blocking(
+      comm, resolve_alltoall(comm, send, recv, block_bytes, options),
+      options.radix == 0);
 }
 
 int alltoall_staged(mps::Communicator& comm, std::span<const std::byte> send,
@@ -467,9 +727,7 @@ int alltoall_staged(mps::Communicator& comm, std::span<const std::byte> send,
                     const AlltoallOptions& options) {
   const std::int64_t n = comm.size();
   const std::int64_t b = send_layout.block_bytes();
-  BRUCK_REQUIRE_MSG(recv_layout.block_bytes() == b,
-                    "send and recv layouts must carry the same logical "
-                    "block size");
+  (void)strided_layouts(send, recv, send_layout, recv_layout, n, n);
   std::vector<std::byte> s(static_cast<std::size_t>(n * b));
   std::vector<std::byte> r(s.size());
   layout_gather_all(send, send_layout, n, s);
@@ -481,50 +739,24 @@ int alltoall_staged(mps::Communicator& comm, std::span<const std::byte> send,
 int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
              std::span<std::byte> recv, const Layout& send_layout,
              const Layout& recv_layout, const AlltoallOptions& options) {
-  const std::int64_t n = comm.size();
-  const std::int64_t b = send_layout.block_bytes();
-  BRUCK_REQUIRE_MSG(recv_layout.block_bytes() == b,
-                    "send and recv layouts must carry the same logical "
-                    "block size");
-  BRUCK_REQUIRE_MSG(
-      static_cast<std::int64_t>(send.size()) >= send_layout.span_bytes(n) &&
-          static_cast<std::int64_t>(recv.size()) >= recv_layout.span_bytes(n),
-      "buffers must cover the layouts' physical span");
-  if (send_layout.is_contiguous() && recv_layout.is_contiguous()) {
-    // The degenerate case is the plain call: same plan, same cache key,
-    // same zero-copy fast path.
-    return alltoall(comm, send.first(static_cast<std::size_t>(n * b)),
-                    recv.first(static_cast<std::size_t>(n * b)), b, options);
-  }
   if (options.path == ExecutionPath::kReference) {
     // The inline oracles predate layouts: stage through packed copies so
     // kReference stays the bitwise cross-check of the zero-copy paths.
     return alltoall_staged(comm, send, recv, send_layout, recv_layout,
                            options);
   }
-  const AlltoallPlan plan = plan_alltoall(n, comm.ports(), b, options);
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
-  const int segments = model::resolve_segment_knob(
-      options.segments == 0 && plan.segments_hint > 0 ? plan.segments_hint
-                                                      : options.segments,
-      pipelined, model::effective_machine(options.machine), plan.predicted);
-  return run_compiled(
-      comm,
-      index_plan_key(plan.algorithm, n, comm.ports(), plan.radix, segments,
-                     layout_digest(&send_layout, &recv_layout)),
-      send, recv, b, options.start_round, pipelined,
-      LayoutPair{&send_layout, &recv_layout});
+  return run_blocking(comm,
+                      resolve_alltoall(comm, send, recv,
+                                       send_layout.block_bytes(), options,
+                                       {&send_layout, &recv_layout}),
+                      options.radix == 0);
 }
 
 int allgather(mps::Communicator& comm, std::span<const std::byte> send,
               std::span<std::byte> recv, std::int64_t block_bytes,
               const AllgatherOptions& options) {
-  const ConcatAlgorithm algorithm =
-      options.algorithm == ConcatAlgorithm::kAuto ? ConcatAlgorithm::kBruck
-                                                  : options.algorithm;
-
   if (options.path == ExecutionPath::kReference) {
-    switch (algorithm) {
+    switch (options.algorithm) {
       case ConcatAlgorithm::kFolklore:
         return concat_folklore(comm, send, recv, block_bytes,
                                ConcatFolkloreOptions{options.start_round});
@@ -540,59 +772,17 @@ int allgather(mps::Communicator& comm, std::span<const std::byte> send,
     BRUCK_ENSURE_MSG(false, "unreachable");
     return options.start_round;
   }
-
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
-
-  // Hierarchical dispatch (see alltoall).
-  const HierMode hmode = resolve_hier_mode(options.hier);
-  if (hier_eligible(hmode, comm.size(), block_bytes,
-                    options.algorithm == ConcatAlgorithm::kAuto ||
-                        options.algorithm == ConcatAlgorithm::kBruck)) {
-    const model::HierChoice choice = model::pick_concat_plan_cached(
-        comm.size(), comm.ports(), block_bytes,
-        model::effective_two_level(options.hier_machine), options.last_round,
-        resolve_hier_group(options.hier_group));
-    if (hmode == HierMode::kOn || choice.hier) {
-      HierShape shape;
-      shape.group = choice.group;
-      shape.strategy = options.last_round;
-      const CompositePlan cp = CompositePlan::lower_concat_hier(
-          comm.size(), comm.ports(), comm.rank(), block_bytes, shape);
-      return cp
-          .run(comm, send, recv, /*op=*/nullptr, options.start_round,
-               pipelined)
-          .next_round;
-    }
-  }
-
-  // Canonicalize the last-round strategy so equal geometries share a key
-  // (the same resolution concat_bruck performs internally).
-  const ConcatRecipe recipe = resolve_concat_recipe(
-      comm.size(), comm.ports(), block_bytes, options, pipelined);
-  return run_compiled(comm,
-                      concat_plan_key(recipe.algorithm, comm.size(),
-                                      comm.ports(), recipe.strategy,
-                                      block_bytes, recipe.segments),
-                      send, recv, block_bytes, options.start_round, pipelined);
+  return run_blocking(
+      comm, resolve_allgather(comm, send, recv, block_bytes, options));
 }
 
 int allgather(mps::Communicator& comm, std::span<const std::byte> send,
               std::span<std::byte> recv, const Layout& send_layout,
               const Layout& recv_layout, const AllgatherOptions& options) {
-  const std::int64_t n = comm.size();
   const std::int64_t b = send_layout.block_bytes();
-  BRUCK_REQUIRE_MSG(recv_layout.block_bytes() == b,
-                    "send and recv layouts must carry the same logical "
-                    "block size");
-  BRUCK_REQUIRE_MSG(
-      static_cast<std::int64_t>(send.size()) >= send_layout.span_bytes(1) &&
-          static_cast<std::int64_t>(recv.size()) >= recv_layout.span_bytes(n),
-      "buffers must cover the layouts' physical span");
-  if (send_layout.is_contiguous() && recv_layout.is_contiguous()) {
-    return allgather(comm, send.first(static_cast<std::size_t>(b)),
-                     recv.first(static_cast<std::size_t>(n * b)), b, options);
-  }
   if (options.path == ExecutionPath::kReference) {
+    const std::int64_t n = comm.size();
+    (void)strided_layouts(send, recv, send_layout, recv_layout, 1, n);
     std::vector<std::byte> s(static_cast<std::size_t>(b));
     std::vector<std::byte> r(static_cast<std::size_t>(n * b));
     layout_gather(send, send_layout, 0, 0, b, s);
@@ -600,16 +790,8 @@ int allgather(mps::Communicator& comm, std::span<const std::byte> send,
     layout_scatter_all(recv, recv_layout, n, r);
     return next;
   }
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
-  const ConcatRecipe recipe =
-      resolve_concat_recipe(n, comm.ports(), b, options, pipelined);
-  return run_compiled(
-      comm,
-      concat_plan_key(recipe.algorithm, n, comm.ports(), recipe.strategy, b,
-                      recipe.segments,
-                      layout_digest(&send_layout, &recv_layout)),
-      send, recv, b, options.start_round, pipelined,
-      LayoutPair{&send_layout, &recv_layout});
+  return run_blocking(comm, resolve_allgather(comm, send, recv, b, options,
+                                              {&send_layout, &recv_layout}));
 }
 
 int alltoallv(mps::Communicator& comm, std::span<const std::byte> send,
@@ -618,60 +800,16 @@ int alltoallv(mps::Communicator& comm, std::span<const std::byte> send,
               std::span<const std::int64_t> send_displs,
               std::span<const std::int64_t> recv_displs,
               const AlltoallvOptions& options) {
-  const std::int64_t n = comm.size();
-  const int k = comm.ports();
-  const std::int64_t rank = comm.rank();
-  BRUCK_REQUIRE_MSG(static_cast<std::int64_t>(counts.size()) == n * n,
-                    "alltoallv needs the full n*n count matrix");
-
-  // Shape statistics: drive the tuner, the padding stride, and the digest.
-  std::int64_t total = 0;
-  std::int64_t max_pair = 0;
-  for (const std::int64_t c : counts) {
-    BRUCK_REQUIRE_MSG(c >= 0, "counts must be non-negative");
-    total += c;
-    max_pair = std::max(max_pair, c);
-  }
-
-  // Empty displacements mean the packed canonical layout.
-  std::vector<std::int64_t> sd_storage;
-  std::vector<std::int64_t> rd_storage;
-  if (send_displs.empty()) {
-    sd_storage = prefix_displs(counts.subspan(
-        static_cast<std::size_t>(rank * n), static_cast<std::size_t>(n)));
-    send_displs = sd_storage;
-  }
-  if (recv_displs.empty()) {
-    std::vector<std::int64_t> col(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) {
-      col[static_cast<std::size_t>(i)] =
-          counts[static_cast<std::size_t>(i * n + rank)];
-    }
-    rd_storage = prefix_displs(col);
-    recv_displs = rd_storage;
-  }
-  BRUCK_REQUIRE(static_cast<std::int64_t>(send_displs.size()) == n);
-  BRUCK_REQUIRE(static_cast<std::int64_t>(recv_displs.size()) == n);
-
   if (options.path == ExecutionPath::kReference) {
-    return alltoallv_reference(comm, send, recv, counts, send_displs,
-                               recv_displs,
+    const OpSpec shape = indexv_shape(comm, send, recv, counts, send_displs,
+                                      recv_displs, options, {});
+    return alltoallv_reference(comm, send, recv, counts, shape.send_displs,
+                               shape.recv_displs,
                                VectorReferenceOptions{options.start_round});
   }
-
-  // Resolve the algorithm, radix, and predicted measures (the segment
-  // tuner's input) from the shape statistics.
-  const IndexvRecipe recipe =
-      resolve_indexv_recipe(n, k, total, max_pair, options);
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
-  const int segments = model::resolve_segment_knob(
-      options.segments, pipelined, model::effective_machine(options.machine),
-      recipe.predicted);
-  const VectorView view{counts, send_displs, recv_displs, max_pair};
-  return run_compiled_v(comm,
-                        indexv_plan_key(recipe.algorithm, n, k, recipe.radix,
-                                        shape_digest(counts), segments),
-                        send, recv, view, options.start_round, pipelined);
+  return run_blocking(comm, resolve_alltoallv(comm, send, recv, counts,
+                                              send_displs, recv_displs,
+                                              options));
 }
 
 int alltoallv(mps::Communicator& comm, std::span<const std::byte> send,
@@ -681,101 +819,50 @@ int alltoallv(mps::Communicator& comm, std::span<const std::byte> send,
               std::span<const std::int64_t> recv_displs,
               const Layout& send_layout, const Layout& recv_layout,
               const AlltoallvOptions& options) {
-  if (send_layout.is_contiguous() && recv_layout.is_contiguous()) {
-    return alltoallv(comm, send, recv, counts, send_displs, recv_displs,
-                     options);
+  if (options.path != ExecutionPath::kReference) {
+    return run_blocking(
+        comm, resolve_alltoallv(comm, send, recv, counts, send_displs,
+                                recv_displs, options,
+                                {&send_layout, &recv_layout}));
   }
+  const OpSpec spec = indexv_shape(comm, send, recv, counts, send_displs,
+                                   recv_displs, options,
+                                   {&send_layout, &recv_layout});
+  if (!spec.has_layout) {
+    return alltoallv_reference(comm, send, recv, counts, spec.send_displs,
+                               spec.recv_displs,
+                               VectorReferenceOptions{options.start_round});
+  }
+  // Stage through packed copies around the per-pair oracle.
   const std::int64_t n = comm.size();
-  const int k = comm.ports();
   const std::int64_t rank = comm.rank();
-  BRUCK_REQUIRE_MSG(static_cast<std::int64_t>(counts.size()) == n * n,
-                    "alltoallv needs the full n*n count matrix");
-
-  std::int64_t total = 0;
-  std::int64_t max_pair = 0;
-  for (const std::int64_t c : counts) {
-    BRUCK_REQUIRE_MSG(c >= 0, "counts must be non-negative");
-    total += c;
-    max_pair = std::max(max_pair, c);
+  const std::span<const std::int64_t> row = counts.subspan(
+      static_cast<std::size_t>(rank * n), static_cast<std::size_t>(n));
+  const std::vector<std::int64_t> col = count_column(counts, n, rank);
+  const std::vector<std::int64_t> packed_sd = prefix_displs(row);
+  const std::vector<std::int64_t> packed_rd = prefix_displs(col);
+  std::vector<std::byte> s(static_cast<std::size_t>(
+      packed_sd.back() + row[static_cast<std::size_t>(n - 1)]));
+  std::vector<std::byte> r(static_cast<std::size_t>(
+      packed_rd.back() + col[static_cast<std::size_t>(n - 1)]));
+  for (std::int64_t j = 0; j < n; ++j) {
+    const auto jj = static_cast<std::size_t>(j);
+    layout_gather(send, send_layout, spec.send_displs[jj], 0, row[jj],
+                  std::span<std::byte>(s).subspan(
+                      static_cast<std::size_t>(packed_sd[jj]),
+                      static_cast<std::size_t>(row[jj])));
   }
-  BRUCK_REQUIRE_MSG(send_layout.block_bytes() >= max_pair &&
-                        recv_layout.block_bytes() >= max_pair,
-                    "layouts must cover the largest pair count");
-
-  // Empty displacements mean the packed canonical layout in layout space.
-  std::vector<std::int64_t> sd_storage;
-  std::vector<std::int64_t> rd_storage;
-  if (send_displs.empty()) {
-    sd_storage = layout_prefix_displs(
-        send_layout,
-        counts.subspan(static_cast<std::size_t>(rank * n),
-                       static_cast<std::size_t>(n)));
-    send_displs = sd_storage;
-  }
-  std::vector<std::int64_t> col(static_cast<std::size_t>(n));
+  const int next =
+      alltoallv_reference(comm, s, r, counts, packed_sd, packed_rd,
+                          VectorReferenceOptions{options.start_round});
   for (std::int64_t i = 0; i < n; ++i) {
-    col[static_cast<std::size_t>(i)] =
-        counts[static_cast<std::size_t>(i * n + rank)];
+    const auto ii = static_cast<std::size_t>(i);
+    layout_scatter(recv, recv_layout, spec.recv_displs[ii], 0, col[ii],
+                   std::span<const std::byte>(r).subspan(
+                       static_cast<std::size_t>(packed_rd[ii]),
+                       static_cast<std::size_t>(col[ii])));
   }
-  if (recv_displs.empty()) {
-    rd_storage = layout_prefix_displs(recv_layout, col);
-    recv_displs = rd_storage;
-  }
-  BRUCK_REQUIRE(static_cast<std::int64_t>(send_displs.size()) == n);
-  BRUCK_REQUIRE(static_cast<std::int64_t>(recv_displs.size()) == n);
-
-  if (options.path == ExecutionPath::kReference) {
-    // Stage through packed copies around the per-pair oracle.
-    const std::span<const std::int64_t> row = counts.subspan(
-        static_cast<std::size_t>(rank * n), static_cast<std::size_t>(n));
-    const std::vector<std::int64_t> packed_sd = prefix_displs(row);
-    const std::vector<std::int64_t> packed_rd = prefix_displs(col);
-    const std::int64_t row_total =
-        packed_sd.back() + row[static_cast<std::size_t>(n - 1)];
-    const std::int64_t col_total =
-        packed_rd.back() + col[static_cast<std::size_t>(n - 1)];
-    std::vector<std::byte> s(static_cast<std::size_t>(row_total));
-    std::vector<std::byte> r(static_cast<std::size_t>(col_total));
-    for (std::int64_t j = 0; j < n; ++j) {
-      layout_gather(send, send_layout,
-                    send_displs[static_cast<std::size_t>(j)], 0,
-                    row[static_cast<std::size_t>(j)],
-                    std::span<std::byte>(s).subspan(
-                        static_cast<std::size_t>(
-                            packed_sd[static_cast<std::size_t>(j)]),
-                        static_cast<std::size_t>(
-                            row[static_cast<std::size_t>(j)])));
-    }
-    const int next =
-        alltoallv_reference(comm, s, r, counts, packed_sd, packed_rd,
-                            VectorReferenceOptions{options.start_round});
-    for (std::int64_t i = 0; i < n; ++i) {
-      layout_scatter(recv, recv_layout,
-                     recv_displs[static_cast<std::size_t>(i)], 0,
-                     col[static_cast<std::size_t>(i)],
-                     std::span<const std::byte>(r).subspan(
-                         static_cast<std::size_t>(
-                             packed_rd[static_cast<std::size_t>(i)]),
-                         static_cast<std::size_t>(
-                             col[static_cast<std::size_t>(i)])));
-    }
-    return next;
-  }
-
-  const IndexvRecipe recipe =
-      resolve_indexv_recipe(n, k, total, max_pair, options);
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
-  const int segments = model::resolve_segment_knob(
-      options.segments, pipelined, model::effective_machine(options.machine),
-      recipe.predicted);
-  const VectorView view{counts, send_displs, recv_displs, max_pair};
-  return run_compiled_v(comm,
-                        indexv_plan_key(recipe.algorithm, n, k, recipe.radix,
-                                        shape_digest(counts), segments,
-                                        layout_digest(&send_layout,
-                                                      &recv_layout)),
-                        send, recv, view, options.start_round, pipelined,
-                        LayoutPair{&send_layout, &recv_layout});
+  return next;
 }
 
 int allgatherv(mps::Communicator& comm, std::span<const std::byte> send,
@@ -783,64 +870,14 @@ int allgatherv(mps::Communicator& comm, std::span<const std::byte> send,
                std::span<const std::int64_t> counts,
                std::span<const std::int64_t> recv_displs,
                const AllgathervOptions& options) {
-  const std::int64_t n = comm.size();
-  const int k = comm.ports();
-  BRUCK_REQUIRE_MSG(static_cast<std::int64_t>(counts.size()) == n,
-                    "allgatherv needs one count per rank");
-
-  std::int64_t total = 0;
-  std::int64_t max_block = 0;
-  for (const std::int64_t c : counts) {
-    BRUCK_REQUIRE_MSG(c >= 0, "counts must be non-negative");
-    total += c;
-    max_block = std::max(max_block, c);
-  }
-
-  std::vector<std::int64_t> rd_storage;
-  if (recv_displs.empty()) {
-    rd_storage = prefix_displs(counts);
-    recv_displs = rd_storage;
-  }
-  BRUCK_REQUIRE(static_cast<std::int64_t>(recv_displs.size()) == n);
-
   if (options.path == ExecutionPath::kReference) {
-    return allgatherv_reference(comm, send, recv, counts, recv_displs,
+    const OpSpec shape =
+        concatv_shape(comm, send, recv, counts, recv_displs, options);
+    return allgatherv_reference(comm, send, recv, counts, shape.recv_displs,
                                 VectorReferenceOptions{options.start_round});
   }
-
-  const ConcatAlgorithm algorithm =
-      options.algorithm == ConcatAlgorithm::kAuto ? ConcatAlgorithm::kBruck
-                                                  : options.algorithm;
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
-  model::CostMetrics predicted;
-  if (pipelined) {
-    // Segment tuning sees the mean block (wire messages carry trimmed true
-    // sizes, so the mean is the honest per-message estimate).  Computed for
-    // forced counts too (resolve_segment_knob clamps them against the floor).
-    const std::int64_t b_eff = n > 0 ? (total + n - 1) / std::max<std::int64_t>(
-                                           1, n)
-                                     : 0;
-    switch (algorithm) {
-      case ConcatAlgorithm::kBruck:
-      case ConcatAlgorithm::kAuto:
-        predicted = model::concat_bruck_cost(
-            n, k, b_eff, model::ConcatLastRound::kColumnGranular);
-        break;
-      case ConcatAlgorithm::kFolklore:
-        predicted = model::concat_folklore_cost(n, b_eff);
-        break;
-      case ConcatAlgorithm::kRing:
-        predicted = model::concat_ring_cost(n, b_eff);
-        break;
-    }
-  }
-  const int segments = model::resolve_segment_knob(
-      options.segments, pipelined, model::effective_machine(options.machine),
-      predicted);
-  const VectorView view{counts, {}, recv_displs, max_block};
-  return run_compiled_v(
-      comm, concatv_plan_key(algorithm, n, k, shape_digest(counts), segments),
-      send, recv, view, options.start_round, pipelined);
+  return run_blocking(
+      comm, resolve_allgatherv(comm, send, recv, counts, recv_displs, options));
 }
 
 namespace detail {
@@ -888,141 +925,31 @@ ReducePlanChoice resolve_reduce_algorithm(std::int64_t n, int k,
 
 }  // namespace detail
 
-namespace {
-
-/// run_compiled's reduction twin: fetch/lower the reduce plan and execute
-/// it with the combine operator; the PlanEvent additionally reports the
-/// bytes combined on receive.
-int run_compiled_reduce(mps::Communicator& comm, const PlanKey& key,
-                        std::span<const std::byte> send,
-                        std::span<std::byte> recv, std::int64_t block_bytes,
-                        const ReduceOp& op, int start_round, bool pipelined,
-                        const LayoutPair& layouts = {},
-                        double* wall_out = nullptr) {
-  const PlanCache::Lookup lookup = PlanCache::global().get_or_lower(key);
-  const auto start = std::chrono::steady_clock::now();
-  const PlanExecution ex =
-      pipelined
-          ? lookup.plan->run_pipelined(comm, send, recv, block_bytes, op,
-                                       start_round, layouts)
-          : lookup.plan->run(comm, send, recv, block_bytes, op, start_round,
-                             layouts);
-  const double wall_us = wall_since_us(start);
-  mps::PlanEvent event{lookup.cache_hit, lookup.plan->round_count(),
-                       ex.bytes_sent, ex.bytes_reduced};
-  event.wall_us = wall_us;
-  comm.record_plan_event(event);
-  if (wall_out != nullptr) *wall_out = wall_us;
-  return ex.next_round;
-}
-
-}  // namespace
-
 int reduce_scatter(mps::Communicator& comm, std::span<const std::byte> send,
                    std::span<std::byte> recv, std::int64_t block_bytes,
                    const ReduceOp& op, const ReduceScatterOptions& options) {
-  const std::int64_t n = comm.size();
-  const int k = comm.ports();
-  BRUCK_REQUIRE(block_bytes >= 0);
-  BRUCK_REQUIRE_MSG(op.elem_bytes() >= 1 &&
-                        block_bytes % op.elem_bytes() == 0,
-                    "block size must be a whole number of op elements");
-
   if (options.path == ExecutionPath::kReference) {
+    BRUCK_REQUIRE(block_bytes >= 0);
+    BRUCK_REQUIRE_MSG(op.elem_bytes() >= 1 &&
+                          block_bytes % op.elem_bytes() == 0,
+                      "block size must be a whole number of op elements");
     return reduce_scatter_reference(
         comm, send, recv, block_bytes, op,
         ReduceReferenceOptions{options.start_round});
   }
-
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
-
-  // Hierarchical dispatch (see alltoall).
-  const HierMode hmode = resolve_hier_mode(options.hier);
-  if (hier_eligible(hmode, n, block_bytes,
-                    options.algorithm == ReduceAlgorithm::kAuto ||
-                        options.algorithm == ReduceAlgorithm::kBruck)) {
-    const model::HierChoice hier_choice = model::pick_reduce_plan_cached(
-        n, k, block_bytes, model::effective_two_level(options.hier_machine),
-        options.radix_set, resolve_hier_group(options.hier_group));
-    if (hmode == HierMode::kOn || hier_choice.hier) {
-      HierShape shape;
-      shape.group = hier_choice.group;
-      shape.inter_radix = hier_choice.inter_radix;
-      const CompositePlan cp = CompositePlan::lower_reduce_hier(
-          n, k, comm.rank(), block_bytes, op, shape);
-      return cp.run(comm, send, recv, &op, options.start_round, pipelined)
-          .next_round;
-    }
-  }
-
-  const detail::ReducePlanChoice choice = detail::resolve_reduce_algorithm(
-      n, k, block_bytes, options.algorithm, options.radix, options.machine,
-      options.radix_set);
-  const model::LinearModel machine = model::effective_machine(options.machine);
-  std::int64_t radix = choice.radix;
-  int segments = model::resolve_segment_knob(
-      options.segments == 0 && choice.segments_hint > 0 ? choice.segments_hint
-                                                        : options.segments,
-      pipelined, machine, choice.predicted);
-
-  // Live adaptive exploration (see alltoall): tuner-driven Bruck calls only.
-  const bool tuner_driven = choice.algorithm == ReduceAlgorithm::kBruck &&
-                            (options.algorithm == ReduceAlgorithm::kAuto ||
-                             options.algorithm == ReduceAlgorithm::kBruck) &&
-                            options.radix == 0 && options.segments == 0;
-  model::TunerQuery query{};
-  model::TunerConfig decided{};
-  bool adaptive = false;
-  if (tuner_driven && model::adaptive_hook_installed()) {
-    query = model::make_tuner_query(model::TunedFamily::kReduceScatter, n, k,
-                                    block_bytes, machine);
-    model::TunerConfig base;
-    base.radix = radix;
-    base.segments = segments;
-    decided = model::adaptive_decision(query, base);
-    adaptive = true;
-    if (decided.radix > 0) radix = decided.radix;
-    if (decided.segments > 0) segments = decided.segments;
-  }
-
-  double wall_us = 0.0;
-  const int next = run_compiled_reduce(
-      comm, reduce_plan_key(choice.algorithm, n, k, radix, op, segments),
-      send, recv, block_bytes, op, options.start_round, pipelined, {},
-      adaptive ? &wall_us : nullptr);
-  if (adaptive) {
-    model::ExecutionSample sample;
-    sample.query = query;
-    sample.config = decided;
-    sample.wall_us = wall_us;
-    sample.predicted_us = machine.predict_reduce_us(choice.predicted);
-    model::notify_execution(sample);
-  }
-  return next;
+  return run_blocking(
+      comm, resolve_reduce_scatter(comm, send, recv, block_bytes, op, options),
+      options.radix == 0);
 }
 
 int reduce_scatter(mps::Communicator& comm, std::span<const std::byte> send,
                    std::span<std::byte> recv, const Layout& send_layout,
                    const Layout& recv_layout, const ReduceOp& op,
                    const ReduceScatterOptions& options) {
-  const std::int64_t n = comm.size();
-  const int k = comm.ports();
   const std::int64_t b = send_layout.block_bytes();
-  BRUCK_REQUIRE_MSG(recv_layout.block_bytes() == b,
-                    "send and recv layouts must carry the same logical "
-                    "block size");
-  BRUCK_REQUIRE_MSG(op.elem_bytes() >= 1 && b % op.elem_bytes() == 0,
-                    "block size must be a whole number of op elements");
-  BRUCK_REQUIRE_MSG(
-      static_cast<std::int64_t>(send.size()) >= send_layout.span_bytes(n) &&
-          static_cast<std::int64_t>(recv.size()) >= recv_layout.span_bytes(1),
-      "buffers must cover the layouts' physical span");
-  if (send_layout.is_contiguous() && recv_layout.is_contiguous()) {
-    return reduce_scatter(comm, send.first(static_cast<std::size_t>(n * b)),
-                          recv.first(static_cast<std::size_t>(b)), b, op,
-                          options);
-  }
   if (options.path == ExecutionPath::kReference) {
+    const std::int64_t n = comm.size();
+    (void)strided_layouts(send, recv, send_layout, recv_layout, n, 1);
     std::vector<std::byte> s(static_cast<std::size_t>(n * b));
     std::vector<std::byte> r(static_cast<std::size_t>(b));
     layout_gather_all(send, send_layout, n, s);
@@ -1030,100 +957,29 @@ int reduce_scatter(mps::Communicator& comm, std::span<const std::byte> send,
     layout_scatter(recv, recv_layout, 0, 0, b, r);
     return next;
   }
-  const detail::ReducePlanChoice choice = detail::resolve_reduce_algorithm(
-      n, k, b, options.algorithm, options.radix, options.machine,
-      options.radix_set);
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
-  const int segments = model::resolve_segment_knob(
-      options.segments == 0 && choice.segments_hint > 0 ? choice.segments_hint
-                                                        : options.segments,
-      pipelined, model::effective_machine(options.machine), choice.predicted);
-  return run_compiled_reduce(
-      comm,
-      reduce_plan_key(choice.algorithm, n, k, choice.radix, op, segments,
-                      layout_digest(&send_layout, &recv_layout)),
-      send, recv, b, op, options.start_round, pipelined,
-      LayoutPair{&send_layout, &recv_layout});
+  return run_blocking(comm,
+                      resolve_reduce_scatter(comm, send, recv, b, op, options,
+                                             {&send_layout, &recv_layout}),
+                      options.radix == 0);
 }
 
 int allreduce(mps::Communicator& comm, std::span<const std::byte> send,
               std::span<std::byte> recv, const ReduceOp& op,
               const AllreduceOptions& options) {
-  const std::int64_t n = comm.size();
-  const std::int64_t bytes = static_cast<std::int64_t>(send.size());
-  const std::int64_t ew = op.elem_bytes();
-  BRUCK_REQUIRE(static_cast<std::int64_t>(recv.size()) == bytes);
-  BRUCK_REQUIRE_MSG(ew >= 1 && bytes % ew == 0,
-                    "payload must be a whole number of op elements");
-
   if (options.path == ExecutionPath::kReference) {
     return allreduce_reference(comm, send, recv, op,
                                ReduceReferenceOptions{options.start_round});
   }
-
-  // Reduce-scatter over ⌈elems/n⌉-element blocks, then allgather the
-  // reduced blocks.  The tail block is zero-padded identically on every
-  // rank; padded results are combined but never copied back.
-  const std::int64_t elems = bytes / ew;
-  const std::int64_t block_elems = n > 0 ? ceil_div(elems, n) : 0;
-  const std::int64_t b = block_elems * ew;
-
-  std::vector<std::byte> padded(static_cast<std::size_t>(n * b),
-                                std::byte{0});
-  if (bytes > 0) {
-    std::memcpy(padded.data(), send.data(), static_cast<std::size_t>(bytes));
-  }
-  std::vector<std::byte> reduced(static_cast<std::size_t>(b));
-
-  ReduceScatterOptions rs;
-  rs.algorithm = options.algorithm;
-  rs.radix = options.radix;
-  rs.machine = options.machine;
-  rs.radix_set = options.radix_set;
-  rs.start_round = options.start_round;
-  rs.path = options.path;
-  rs.segments = options.segments;
-  const int after_reduce = reduce_scatter(comm, padded, reduced, b, op, rs);
-
-  std::vector<std::byte> gathered(static_cast<std::size_t>(n * b));
-  AllgatherOptions ag;
-  ag.algorithm = options.concat;
-  ag.machine = options.machine;
-  ag.start_round = after_reduce;
-  ag.path = options.path;
-  ag.segments = options.segments;
-  const int next = allgather(comm, reduced, gathered, b, ag);
-
-  if (bytes > 0) {
-    std::memcpy(recv.data(), gathered.data(),
-                static_cast<std::size_t>(bytes));
-  }
-  return next;
+  return run_blocking(comm, resolve_allreduce(comm, send, recv, op, options));
 }
 
 int allreduce(mps::Communicator& comm, std::span<const std::byte> send,
               std::span<std::byte> recv, const Layout& send_layout,
               const Layout& recv_layout, const ReduceOp& op,
               const AllreduceOptions& options) {
-  const std::int64_t n = comm.size();
-  const std::int64_t bytes = send_layout.block_bytes();
-  const std::int64_t ew = op.elem_bytes();
-  BRUCK_REQUIRE_MSG(recv_layout.block_bytes() == bytes,
-                    "send and recv layouts must carry the same logical "
-                    "payload size");
-  BRUCK_REQUIRE_MSG(ew >= 1 && bytes % ew == 0,
-                    "payload must be a whole number of op elements");
-  BRUCK_REQUIRE_MSG(
-      static_cast<std::int64_t>(send.size()) >= send_layout.span_bytes(1) &&
-          static_cast<std::int64_t>(recv.size()) >=
-              recv_layout.span_bytes(1),
-      "buffers must cover the layouts' physical span");
-  if (send_layout.is_contiguous() && recv_layout.is_contiguous()) {
-    return allreduce(comm, send.first(static_cast<std::size_t>(bytes)),
-                     recv.first(static_cast<std::size_t>(bytes)), op,
-                     options);
-  }
   if (options.path == ExecutionPath::kReference) {
+    const std::int64_t bytes = send_layout.block_bytes();
+    (void)strided_layouts(send, recv, send_layout, recv_layout, 1, 1);
     std::vector<std::byte> s(static_cast<std::size_t>(bytes));
     std::vector<std::byte> r(static_cast<std::size_t>(bytes));
     layout_gather(send, send_layout, 0, 0, bytes, s);
@@ -1132,178 +988,48 @@ int allreduce(mps::Communicator& comm, std::span<const std::byte> send,
     layout_scatter(recv, recv_layout, 0, 0, bytes, r);
     return next;
   }
-
-  // The padded block decomposition inherently stages the payload; the
-  // layouts replace the staging memcpys rather than adding copies — the
-  // gather into the padded scratch walks send_layout, the final scatter
-  // walks recv_layout, and the wire stages run contiguous (no layout
-  // digest in their keys).
-  const std::int64_t elems = bytes / ew;
-  const std::int64_t block_elems = n > 0 ? ceil_div(elems, n) : 0;
-  const std::int64_t b = block_elems * ew;
-
-  std::vector<std::byte> padded(static_cast<std::size_t>(n * b),
-                                std::byte{0});
-  layout_gather(send, send_layout, 0, 0, bytes,
-                std::span<std::byte>(padded).first(
-                    static_cast<std::size_t>(bytes)));
-  std::vector<std::byte> reduced(static_cast<std::size_t>(b));
-
-  ReduceScatterOptions rs;
-  rs.algorithm = options.algorithm;
-  rs.radix = options.radix;
-  rs.machine = options.machine;
-  rs.radix_set = options.radix_set;
-  rs.start_round = options.start_round;
-  rs.path = options.path;
-  rs.segments = options.segments;
-  const int after_reduce = reduce_scatter(comm, padded, reduced, b, op, rs);
-
-  std::vector<std::byte> gathered(static_cast<std::size_t>(n * b));
-  AllgatherOptions ag;
-  ag.algorithm = options.concat;
-  ag.machine = options.machine;
-  ag.start_round = after_reduce;
-  ag.path = options.path;
-  ag.segments = options.segments;
-  const int next = allgather(comm, reduced, gathered, b, ag);
-
-  layout_scatter(recv, recv_layout, 0, 0, bytes,
-                 std::span<const std::byte>(gathered).first(
-                     static_cast<std::size_t>(bytes)));
-  return next;
+  return run_blocking(comm, resolve_allreduce(comm, send, recv, op, options,
+                                              {&send_layout, &recv_layout}));
 }
 
 // -- Nonblocking entry points ----------------------------------------------
 //
-// Each i* twin runs exactly the blocking facade's resolution — tuner, radix,
-// last-round strategy, segment knob — and hands the finished recipe to the
-// communicator's progress engine instead of executing it.  The engine owns
+// Each i* twin submits exactly the op its blocking twin runs — same
+// resolver, so tuner, radix, last-round strategy, segment knob and
+// hierarchy all agree — to the communicator's progress engine, which owns
 // scheduling from there (lazy start, tag allocation, fusion); see
 // progress.hpp.
 
 Request ialltoall(mps::Communicator& comm, std::span<const std::byte> send,
                   std::span<std::byte> recv, std::int64_t block_bytes,
                   const AlltoallOptions& options) {
-  const AlltoallPlan plan =
-      plan_alltoall(comm.size(), comm.ports(), block_bytes, options);
-  const model::LinearModel machine = model::effective_machine(options.machine);
-  const int segments = model::resolve_segment_knob(
-      options.segments == 0 && plan.segments_hint > 0 ? plan.segments_hint
-                                                      : options.segments,
-      /*pipelined=*/true, machine, plan.predicted);
-  OpSpec spec;
-  spec.family = OpSpec::Family::kAlltoall;
-  spec.send = send;
-  spec.recv = recv;
-  spec.block_bytes = block_bytes;
-  spec.key = index_plan_key(plan.algorithm, comm.size(), comm.ports(),
-                            plan.radix, segments);
-  spec.predicted = plan.predicted;
-  spec.machine = machine;
-  spec.requested_segments = options.segments;
-  spec.start_round = options.start_round;
-  return ProgressEngine::for_comm(comm).submit(std::move(spec));
+  return ProgressEngine::for_comm(comm).submit(
+      resolve_alltoall(comm, send, recv, block_bytes, options));
 }
 
 Request ialltoall(mps::Communicator& comm, std::span<const std::byte> send,
                   std::span<std::byte> recv, const Layout& send_layout,
                   const Layout& recv_layout,
                   const AlltoallOptions& options) {
-  const std::int64_t n = comm.size();
-  const std::int64_t b = send_layout.block_bytes();
-  BRUCK_REQUIRE_MSG(recv_layout.block_bytes() == b,
-                    "send and recv layouts must carry the same logical "
-                    "block size");
-  BRUCK_REQUIRE_MSG(
-      static_cast<std::int64_t>(send.size()) >= send_layout.span_bytes(n) &&
-          static_cast<std::int64_t>(recv.size()) >= recv_layout.span_bytes(n),
-      "buffers must cover the layouts' physical span");
-  if (send_layout.is_contiguous() && recv_layout.is_contiguous()) {
-    return ialltoall(comm, send.first(static_cast<std::size_t>(n * b)),
-                     recv.first(static_cast<std::size_t>(n * b)), b, options);
-  }
-  const AlltoallPlan plan = plan_alltoall(n, comm.ports(), b, options);
-  const model::LinearModel machine = model::effective_machine(options.machine);
-  const int segments = model::resolve_segment_knob(
-      options.segments == 0 && plan.segments_hint > 0 ? plan.segments_hint
-                                                      : options.segments,
-      /*pipelined=*/true, machine, plan.predicted);
-  OpSpec spec;
-  spec.family = OpSpec::Family::kAlltoall;
-  spec.send = send;
-  spec.recv = recv;
-  spec.block_bytes = b;
-  spec.key = index_plan_key(plan.algorithm, n, comm.ports(), plan.radix,
-                            segments,
-                            layout_digest(&send_layout, &recv_layout));
-  spec.predicted = plan.predicted;
-  spec.machine = machine;
-  spec.requested_segments = options.segments;
-  spec.start_round = options.start_round;
-  spec.send_layout = send_layout;
-  spec.recv_layout = recv_layout;
-  spec.has_layout = true;
-  return ProgressEngine::for_comm(comm).submit(std::move(spec));
+  return ProgressEngine::for_comm(comm).submit(
+      resolve_alltoall(comm, send, recv, send_layout.block_bytes(), options,
+                       {&send_layout, &recv_layout}));
 }
 
 Request iallgather(mps::Communicator& comm, std::span<const std::byte> send,
                    std::span<std::byte> recv, std::int64_t block_bytes,
                    const AllgatherOptions& options) {
-  const std::int64_t n = comm.size();
-  const int k = comm.ports();
-  const ConcatRecipe recipe =
-      resolve_concat_recipe(n, k, block_bytes, options, /*pipelined=*/true);
-  OpSpec spec;
-  spec.family = OpSpec::Family::kAllgather;
-  spec.send = send;
-  spec.recv = recv;
-  spec.block_bytes = block_bytes;
-  spec.key = concat_plan_key(recipe.algorithm, n, k, recipe.strategy,
-                             block_bytes, recipe.segments);
-  spec.predicted = recipe.predicted;
-  spec.machine = model::effective_machine(options.machine);
-  spec.requested_segments = options.segments;
-  spec.start_round = options.start_round;
-  return ProgressEngine::for_comm(comm).submit(std::move(spec));
+  return ProgressEngine::for_comm(comm).submit(
+      resolve_allgather(comm, send, recv, block_bytes, options));
 }
 
 Request iallgather(mps::Communicator& comm, std::span<const std::byte> send,
                    std::span<std::byte> recv, const Layout& send_layout,
                    const Layout& recv_layout,
                    const AllgatherOptions& options) {
-  const std::int64_t n = comm.size();
-  const std::int64_t b = send_layout.block_bytes();
-  BRUCK_REQUIRE_MSG(recv_layout.block_bytes() == b,
-                    "send and recv layouts must carry the same logical "
-                    "block size");
-  BRUCK_REQUIRE_MSG(
-      static_cast<std::int64_t>(send.size()) >= send_layout.span_bytes(1) &&
-          static_cast<std::int64_t>(recv.size()) >= recv_layout.span_bytes(n),
-      "buffers must cover the layouts' physical span");
-  if (send_layout.is_contiguous() && recv_layout.is_contiguous()) {
-    return iallgather(comm, send.first(static_cast<std::size_t>(b)),
-                      recv.first(static_cast<std::size_t>(n * b)), b,
-                      options);
-  }
-  const ConcatRecipe recipe =
-      resolve_concat_recipe(n, comm.ports(), b, options, /*pipelined=*/true);
-  OpSpec spec;
-  spec.family = OpSpec::Family::kAllgather;
-  spec.send = send;
-  spec.recv = recv;
-  spec.block_bytes = b;
-  spec.key = concat_plan_key(recipe.algorithm, n, comm.ports(),
-                             recipe.strategy, b, recipe.segments,
-                             layout_digest(&send_layout, &recv_layout));
-  spec.predicted = recipe.predicted;
-  spec.machine = model::effective_machine(options.machine);
-  spec.requested_segments = options.segments;
-  spec.start_round = options.start_round;
-  spec.send_layout = send_layout;
-  spec.recv_layout = recv_layout;
-  spec.has_layout = true;
-  return ProgressEngine::for_comm(comm).submit(std::move(spec));
+  return ProgressEngine::for_comm(comm).submit(
+      resolve_allgather(comm, send, recv, send_layout.block_bytes(), options,
+                        {&send_layout, &recv_layout}));
 }
 
 Request ialltoallv(mps::Communicator& comm, std::span<const std::byte> send,
@@ -1312,60 +1038,8 @@ Request ialltoallv(mps::Communicator& comm, std::span<const std::byte> send,
                    std::span<const std::int64_t> send_displs,
                    std::span<const std::int64_t> recv_displs,
                    const AlltoallvOptions& options) {
-  const std::int64_t n = comm.size();
-  const int k = comm.ports();
-  const std::int64_t rank = comm.rank();
-  BRUCK_REQUIRE_MSG(static_cast<std::int64_t>(counts.size()) == n * n,
-                    "ialltoallv needs the full n*n count matrix");
-
-  std::int64_t total = 0;
-  std::int64_t max_pair = 0;
-  for (const std::int64_t c : counts) {
-    BRUCK_REQUIRE_MSG(c >= 0, "counts must be non-negative");
-    total += c;
-    max_pair = std::max(max_pair, c);
-  }
-
-  // The engine outlives the caller's tables: own every shape vector
-  // (empty displacements mean the packed canonical layout, as in the
-  // blocking twin).
-  OpSpec spec;
-  spec.counts.assign(counts.begin(), counts.end());
-  if (send_displs.empty()) {
-    spec.send_displs = prefix_displs(counts.subspan(
-        static_cast<std::size_t>(rank * n), static_cast<std::size_t>(n)));
-  } else {
-    spec.send_displs.assign(send_displs.begin(), send_displs.end());
-  }
-  if (recv_displs.empty()) {
-    std::vector<std::int64_t> col(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) {
-      col[static_cast<std::size_t>(i)] =
-          counts[static_cast<std::size_t>(i * n + rank)];
-    }
-    spec.recv_displs = prefix_displs(col);
-  } else {
-    spec.recv_displs.assign(recv_displs.begin(), recv_displs.end());
-  }
-  BRUCK_REQUIRE(static_cast<std::int64_t>(spec.send_displs.size()) == n);
-  BRUCK_REQUIRE(static_cast<std::int64_t>(spec.recv_displs.size()) == n);
-
-  const IndexvRecipe recipe =
-      resolve_indexv_recipe(n, k, total, max_pair, options);
-  const int segments = model::resolve_segment_knob(
-      options.segments, /*pipelined=*/true,
-      model::effective_machine(options.machine), recipe.predicted);
-  spec.family = OpSpec::Family::kAlltoallv;
-  spec.send = send;
-  spec.recv = recv;
-  spec.key = indexv_plan_key(recipe.algorithm, n, k, recipe.radix,
-                             shape_digest(counts), segments);
-  spec.predicted = recipe.predicted;
-  spec.machine = model::effective_machine(options.machine);
-  spec.requested_segments = options.segments;
-  spec.start_round = options.start_round;
-  spec.pad_bytes = max_pair;
-  return ProgressEngine::for_comm(comm).submit(std::move(spec));
+  return ProgressEngine::for_comm(comm).submit(resolve_alltoallv(
+      comm, send, recv, counts, send_displs, recv_displs, options));
 }
 
 Request ialltoallv(mps::Communicator& comm, std::span<const std::byte> send,
@@ -1375,70 +1049,9 @@ Request ialltoallv(mps::Communicator& comm, std::span<const std::byte> send,
                    std::span<const std::int64_t> recv_displs,
                    const Layout& send_layout, const Layout& recv_layout,
                    const AlltoallvOptions& options) {
-  if (send_layout.is_contiguous() && recv_layout.is_contiguous()) {
-    return ialltoallv(comm, send, recv, counts, send_displs, recv_displs,
-                      options);
-  }
-  const std::int64_t n = comm.size();
-  const int k = comm.ports();
-  const std::int64_t rank = comm.rank();
-  BRUCK_REQUIRE_MSG(static_cast<std::int64_t>(counts.size()) == n * n,
-                    "ialltoallv needs the full n*n count matrix");
-
-  std::int64_t total = 0;
-  std::int64_t max_pair = 0;
-  for (const std::int64_t c : counts) {
-    BRUCK_REQUIRE_MSG(c >= 0, "counts must be non-negative");
-    total += c;
-    max_pair = std::max(max_pair, c);
-  }
-  BRUCK_REQUIRE_MSG(send_layout.block_bytes() >= max_pair &&
-                        recv_layout.block_bytes() >= max_pair,
-                    "layouts must cover the largest pair count");
-
-  OpSpec spec;
-  spec.counts.assign(counts.begin(), counts.end());
-  if (send_displs.empty()) {
-    spec.send_displs = layout_prefix_displs(
-        send_layout,
-        counts.subspan(static_cast<std::size_t>(rank * n),
-                       static_cast<std::size_t>(n)));
-  } else {
-    spec.send_displs.assign(send_displs.begin(), send_displs.end());
-  }
-  if (recv_displs.empty()) {
-    std::vector<std::int64_t> col(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) {
-      col[static_cast<std::size_t>(i)] =
-          counts[static_cast<std::size_t>(i * n + rank)];
-    }
-    spec.recv_displs = layout_prefix_displs(recv_layout, col);
-  } else {
-    spec.recv_displs.assign(recv_displs.begin(), recv_displs.end());
-  }
-  BRUCK_REQUIRE(static_cast<std::int64_t>(spec.send_displs.size()) == n);
-  BRUCK_REQUIRE(static_cast<std::int64_t>(spec.recv_displs.size()) == n);
-
-  const IndexvRecipe recipe =
-      resolve_indexv_recipe(n, k, total, max_pair, options);
-  const int segments = model::resolve_segment_knob(
-      options.segments, /*pipelined=*/true,
-      model::effective_machine(options.machine), recipe.predicted);
-  spec.family = OpSpec::Family::kAlltoallv;
-  spec.send = send;
-  spec.recv = recv;
-  spec.key = indexv_plan_key(recipe.algorithm, n, k, recipe.radix,
-                             shape_digest(counts), segments,
-                             layout_digest(&send_layout, &recv_layout));
-  spec.predicted = recipe.predicted;
-  spec.machine = model::effective_machine(options.machine);
-  spec.requested_segments = options.segments;
-  spec.start_round = options.start_round;
-  spec.pad_bytes = max_pair;
-  spec.send_layout = send_layout;
-  spec.recv_layout = recv_layout;
-  spec.has_layout = true;
-  return ProgressEngine::for_comm(comm).submit(std::move(spec));
+  return ProgressEngine::for_comm(comm).submit(
+      resolve_alltoallv(comm, send, recv, counts, send_displs, recv_displs,
+                        options, {&send_layout, &recv_layout}));
 }
 
 Request ireduce_scatter(mps::Communicator& comm,
@@ -1446,32 +1059,8 @@ Request ireduce_scatter(mps::Communicator& comm,
                         std::span<std::byte> recv, std::int64_t block_bytes,
                         const ReduceOp& op,
                         const ReduceScatterOptions& options) {
-  const std::int64_t n = comm.size();
-  const int k = comm.ports();
-  BRUCK_REQUIRE(block_bytes >= 0);
-  BRUCK_REQUIRE_MSG(op.elem_bytes() >= 1 && block_bytes % op.elem_bytes() == 0,
-                    "block size must be a whole number of op elements");
-  const detail::ReducePlanChoice choice = detail::resolve_reduce_algorithm(
-      n, k, block_bytes, options.algorithm, options.radix, options.machine,
-      options.radix_set);
-  const model::LinearModel machine = model::effective_machine(options.machine);
-  const int segments = model::resolve_segment_knob(
-      options.segments == 0 && choice.segments_hint > 0 ? choice.segments_hint
-                                                        : options.segments,
-      /*pipelined=*/true, machine, choice.predicted);
-  OpSpec spec;
-  spec.family = OpSpec::Family::kReduceScatter;
-  spec.send = send;
-  spec.recv = recv;
-  spec.block_bytes = block_bytes;
-  spec.key =
-      reduce_plan_key(choice.algorithm, n, k, choice.radix, op, segments);
-  spec.predicted = choice.predicted;
-  spec.machine = machine;
-  spec.requested_segments = options.segments;
-  spec.start_round = options.start_round;
-  spec.op = op;
-  return ProgressEngine::for_comm(comm).submit(std::move(spec));
+  return ProgressEngine::for_comm(comm).submit(
+      resolve_reduce_scatter(comm, send, recv, block_bytes, op, options));
 }
 
 Request ireduce_scatter(mps::Communicator& comm,
@@ -1479,164 +1068,24 @@ Request ireduce_scatter(mps::Communicator& comm,
                         std::span<std::byte> recv, const Layout& send_layout,
                         const Layout& recv_layout, const ReduceOp& op,
                         const ReduceScatterOptions& options) {
-  const std::int64_t n = comm.size();
-  const int k = comm.ports();
-  const std::int64_t b = send_layout.block_bytes();
-  BRUCK_REQUIRE_MSG(recv_layout.block_bytes() == b,
-                    "send and recv layouts must carry the same logical "
-                    "block size");
-  BRUCK_REQUIRE_MSG(op.elem_bytes() >= 1 && b % op.elem_bytes() == 0,
-                    "block size must be a whole number of op elements");
-  BRUCK_REQUIRE_MSG(
-      static_cast<std::int64_t>(send.size()) >= send_layout.span_bytes(n) &&
-          static_cast<std::int64_t>(recv.size()) >= recv_layout.span_bytes(1),
-      "buffers must cover the layouts' physical span");
-  if (send_layout.is_contiguous() && recv_layout.is_contiguous()) {
-    return ireduce_scatter(comm, send.first(static_cast<std::size_t>(n * b)),
-                           recv.first(static_cast<std::size_t>(b)), b, op,
-                           options);
-  }
-  const detail::ReducePlanChoice choice = detail::resolve_reduce_algorithm(
-      n, k, b, options.algorithm, options.radix, options.machine,
-      options.radix_set);
-  const model::LinearModel machine = model::effective_machine(options.machine);
-  const int segments = model::resolve_segment_knob(
-      options.segments == 0 && choice.segments_hint > 0 ? choice.segments_hint
-                                                        : options.segments,
-      /*pipelined=*/true, machine, choice.predicted);
-  OpSpec spec;
-  spec.family = OpSpec::Family::kReduceScatter;
-  spec.send = send;
-  spec.recv = recv;
-  spec.block_bytes = b;
-  spec.key = reduce_plan_key(choice.algorithm, n, k, choice.radix, op,
-                             segments,
-                             layout_digest(&send_layout, &recv_layout));
-  spec.predicted = choice.predicted;
-  spec.machine = machine;
-  spec.requested_segments = options.segments;
-  spec.start_round = options.start_round;
-  spec.op = op;
-  spec.send_layout = send_layout;
-  spec.recv_layout = recv_layout;
-  spec.has_layout = true;
-  return ProgressEngine::for_comm(comm).submit(std::move(spec));
+  return ProgressEngine::for_comm(comm).submit(resolve_reduce_scatter(
+      comm, send, recv, send_layout.block_bytes(), op, options,
+      {&send_layout, &recv_layout}));
 }
-
-namespace {
-
-/// The shared tail of both iallreduce overloads: resolve the two-stage
-/// recipe for a `bytes`-byte logical payload and submit the spec (layouts,
-/// when present, only steer the engine's staging copies — the wire stages
-/// run contiguous, so neither stage key carries a layout digest).
-Request submit_iallreduce(mps::Communicator& comm,
-                          std::span<const std::byte> send,
-                          std::span<std::byte> recv, std::int64_t bytes,
-                          const ReduceOp& op, const AllreduceOptions& options,
-                          const Layout* send_layout,
-                          const Layout* recv_layout) {
-  const std::int64_t n = comm.size();
-  const int k = comm.ports();
-  const std::int64_t ew = op.elem_bytes();
-
-  // Same two-stage decomposition as the blocking twin, but both stages are
-  // resolved up front: the engine chains the allgather after the
-  // reduce-scatter inside one tag namespace.
-  const std::int64_t elems = bytes / ew;
-  const std::int64_t block_elems = n > 0 ? ceil_div(elems, n) : 0;
-  const std::int64_t b = block_elems * ew;
-
-  const detail::ReducePlanChoice choice = detail::resolve_reduce_algorithm(
-      n, k, b, options.algorithm, options.radix, options.machine,
-      options.radix_set);
-  const model::LinearModel machine = model::effective_machine(options.machine);
-  const int rs_segments = model::resolve_segment_knob(
-      options.segments == 0 && choice.segments_hint > 0 ? choice.segments_hint
-                                                        : options.segments,
-      /*pipelined=*/true, machine, choice.predicted);
-
-  const ConcatAlgorithm concat =
-      options.concat == ConcatAlgorithm::kAuto ? ConcatAlgorithm::kBruck
-                                               : options.concat;
-  const model::ConcatLastRound strategy =
-      concat == ConcatAlgorithm::kBruck
-          ? model::resolve_concat_last_round(n, k, b,
-                                             model::ConcatLastRound::kAuto)
-          : model::ConcatLastRound::kAuto;
-  model::CostMetrics concat_predicted;
-  switch (concat) {
-    case ConcatAlgorithm::kBruck:
-    case ConcatAlgorithm::kAuto:
-      concat_predicted = model::concat_bruck_cost(n, k, b, strategy);
-      break;
-    case ConcatAlgorithm::kFolklore:
-      concat_predicted = model::concat_folklore_cost(n, b);
-      break;
-    case ConcatAlgorithm::kRing:
-      concat_predicted = model::concat_ring_cost(n, b);
-      break;
-  }
-  const int ag_segments = model::resolve_segment_knob(
-      options.segments, /*pipelined=*/true, machine, concat_predicted);
-
-  OpSpec spec;
-  spec.family = OpSpec::Family::kAllreduce;
-  spec.send = send;
-  spec.recv = recv;
-  spec.block_bytes = b;
-  spec.key =
-      reduce_plan_key(choice.algorithm, n, k, choice.radix, op, rs_segments);
-  spec.concat_key = concat_plan_key(concat, n, k, strategy, b, ag_segments);
-  spec.predicted = choice.predicted;
-  spec.machine = machine;
-  spec.requested_segments = options.segments;
-  spec.start_round = options.start_round;
-  spec.op = op;
-  if (send_layout != nullptr) {
-    spec.send_layout = *send_layout;
-    spec.recv_layout = *recv_layout;
-    spec.has_layout = true;
-  }
-  return ProgressEngine::for_comm(comm).submit(std::move(spec));
-}
-
-}  // namespace
 
 Request iallreduce(mps::Communicator& comm, std::span<const std::byte> send,
                    std::span<std::byte> recv, const ReduceOp& op,
                    const AllreduceOptions& options) {
-  const std::int64_t bytes = static_cast<std::int64_t>(send.size());
-  const std::int64_t ew = op.elem_bytes();
-  BRUCK_REQUIRE(static_cast<std::int64_t>(recv.size()) == bytes);
-  BRUCK_REQUIRE_MSG(ew >= 1 && bytes % ew == 0,
-                    "payload must be a whole number of op elements");
-  return submit_iallreduce(comm, send, recv, bytes, op, options, nullptr,
-                           nullptr);
+  return ProgressEngine::for_comm(comm).submit(
+      resolve_allreduce(comm, send, recv, op, options));
 }
 
 Request iallreduce(mps::Communicator& comm, std::span<const std::byte> send,
                    std::span<std::byte> recv, const Layout& send_layout,
                    const Layout& recv_layout, const ReduceOp& op,
                    const AllreduceOptions& options) {
-  const std::int64_t bytes = send_layout.block_bytes();
-  const std::int64_t ew = op.elem_bytes();
-  BRUCK_REQUIRE_MSG(recv_layout.block_bytes() == bytes,
-                    "send and recv layouts must carry the same logical "
-                    "payload size");
-  BRUCK_REQUIRE_MSG(ew >= 1 && bytes % ew == 0,
-                    "payload must be a whole number of op elements");
-  BRUCK_REQUIRE_MSG(
-      static_cast<std::int64_t>(send.size()) >= send_layout.span_bytes(1) &&
-          static_cast<std::int64_t>(recv.size()) >=
-              recv_layout.span_bytes(1),
-      "buffers must cover the layouts' physical span");
-  if (send_layout.is_contiguous() && recv_layout.is_contiguous()) {
-    return iallreduce(comm, send.first(static_cast<std::size_t>(bytes)),
-                      recv.first(static_cast<std::size_t>(bytes)), op,
-                      options);
-  }
-  return submit_iallreduce(comm, send, recv, bytes, op, options,
-                           &send_layout, &recv_layout);
+  return ProgressEngine::for_comm(comm).submit(resolve_allreduce(
+      comm, send, recv, op, options, {&send_layout, &recv_layout}));
 }
 
 int broadcast(mps::Communicator& comm, std::int64_t root,

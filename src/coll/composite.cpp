@@ -59,13 +59,12 @@ void CompositePlan::add_stage(CompositeStage stage) {
   stages_.push_back(std::move(stage));
 }
 
-void CompositePlan::check_contract(std::span<const std::byte> send,
-                                   std::span<std::byte> recv,
+void CompositePlan::check_contract(const mps::Communicator& comm,
                                    const ReduceOp* op) const {
-  // Per-stage buffer sizes are enforced by each stage plan's own run
+  // Per-stage buffer sizes are enforced by each stage cursor's own run
   // contract; the composite only checks what the stages cannot see.
-  (void)send;
-  (void)recv;
+  BRUCK_REQUIRE_MSG(comm.size() == n_,
+                    "composite was lowered for a different communicator size");
   BRUCK_REQUIRE_MSG(!needs_op_ || op != nullptr,
                     "composite has reducing stages or combine splices but no "
                     "ReduceOp was supplied");
@@ -92,76 +91,6 @@ void CompositePlan::apply_splices(const CompositeStage& st,
       std::memcpy(dst, src, static_cast<std::size_t>(bytes));
     }
   }
-}
-
-namespace {
-
-PlanExecution run_stage_plan(const CompositeStage& st, mps::Communicator& comm,
-                             std::span<const std::byte> in,
-                             std::span<std::byte> out, std::int64_t stage_block,
-                             const ReduceOp* op, int base, bool pipelined) {
-  if (st.reducing) {
-    return pipelined
-               ? st.plan->run_pipelined(comm, in, out, stage_block, *op, base)
-               : st.plan->run(comm, in, out, stage_block, *op, base);
-  }
-  return pipelined ? st.plan->run_pipelined(comm, in, out, stage_block, base)
-                   : st.plan->run(comm, in, out, stage_block, base);
-}
-
-}  // namespace
-
-PlanExecution CompositePlan::run(mps::Communicator& comm,
-                                 std::span<const std::byte> send,
-                                 std::span<std::byte> recv, const ReduceOp* op,
-                                 int start_round, bool pipelined) const {
-  check_contract(send, recv, op);
-  BRUCK_REQUIRE_MSG(comm.size() == n_,
-                    "composite was lowered for a different communicator size");
-  const std::int64_t b = block_bytes_;
-  PlanExecution total;
-  int base = start_round;
-  std::vector<std::byte> stage_in;
-  for (std::size_t s = 0; s < stages_.size(); ++s) {
-    const CompositeStage& st = stages_[s];
-    const std::span<const std::byte> in =
-        st.user_send_in ? send : std::span<const std::byte>(stage_in);
-    std::vector<std::byte> out_store;
-    std::span<std::byte> out;
-    if (st.user_recv_out) {
-      out = recv;
-    } else {
-      out_store.assign(static_cast<std::size_t>(st.out_units * b),
-                       std::byte{0});
-      out = out_store;
-    }
-    if (st.plan) {
-      const std::int64_t stage_block = st.block_units * b;
-      PlanExecution r;
-      if (st.members.empty()) {
-        r = run_stage_plan(st, comm, in, out, stage_block, op, base,
-                           pipelined);
-      } else {
-        mps::GroupComm sub(comm, st.members);
-        r = run_stage_plan(st, sub, in, out, stage_block, op, base, pipelined);
-      }
-      total.bytes_sent += r.bytes_sent;
-      total.bytes_reduced += r.bytes_reduced;
-      comm.record_plan_event(mps::PlanEvent{st.cache_hit,
-                                            st.plan->round_count(),
-                                            r.bytes_sent, r.bytes_reduced});
-    }
-    base += st.round_stride;
-    if (s + 1 < stages_.size()) {
-      const CompositeStage& next = stages_[s + 1];
-      std::vector<std::byte> next_in(
-          static_cast<std::size_t>(next.in_units * b), std::byte{0});
-      apply_splices(st, out, next_in, op);
-      stage_in = std::move(next_in);
-    }
-  }
-  total.next_round = base;
-  return total;
 }
 
 std::string CompositePlan::describe() const {
@@ -475,7 +404,8 @@ CompositePlan CompositePlan::allreduce_chain(const PlanKey& reduce_key,
 
 // -- CompositeCursor ---------------------------------------------------------
 
-CompositeCursor::CompositeCursor(CompositePlan plan, mps::Communicator& comm,
+CompositeCursor::CompositeCursor(std::shared_ptr<const CompositePlan> plan,
+                                 mps::Communicator& comm,
                                  std::span<const std::byte> send,
                                  std::span<std::byte> recv, const ReduceOp* op,
                                  int start_round, int tag)
@@ -486,62 +416,65 @@ CompositeCursor::CompositeCursor(CompositePlan plan, mps::Communicator& comm,
       op_(op),
       tag_(tag),
       base_round_(start_round) {
-  plan_.check_contract(send_, recv_, op_);
-  BRUCK_REQUIRE_MSG(!plan_.stages_.empty(), "empty composite");
-  for (const CompositeStage& st : plan_.stages_) {
-    BRUCK_REQUIRE_MSG(st.members.empty() && st.plan != nullptr,
-                      "CompositeCursor drives world-scope composites only");
-  }
-  open_stage();
+  plan_->check_contract(comm, op_);
+  BRUCK_REQUIRE_MSG(!plan_->stages_.empty(), "empty composite");
 }
 
-void CompositeCursor::open_stage() {
-  const CompositeStage& st = plan_.stages_[stage_];
-  const std::int64_t b = plan_.block_bytes_;
-  const std::span<const std::byte> in =
-      st.user_send_in ? send_ : std::span<const std::byte>(stage_in_);
-  std::span<std::byte> out;
-  if (st.user_recv_out) {
-    out = recv_;
-  } else {
+bool CompositeCursor::open_stage() {
+  const CompositeStage& st = plan_->stages_[stage_];
+  const std::int64_t b = plan_->block_bytes_;
+  if (!st.user_recv_out) {
     stage_out_.assign(static_cast<std::size_t>(st.out_units * b),
                       std::byte{0});
-    out = stage_out_;
+  }
+  if (!st.plan) return false;
+  const std::span<const std::byte> in =
+      st.user_send_in ? send_ : std::span<const std::byte>(stage_in_);
+  const std::span<std::byte> out =
+      st.user_recv_out ? recv_ : std::span<std::byte>(stage_out_);
+  mps::Communicator* scope = comm_;
+  if (!st.members.empty()) {
+    group_ = std::make_unique<mps::GroupComm>(*comm_, st.members);
+    scope = group_.get();
   }
   const std::int64_t stage_block = st.block_units * b;
   if (st.reducing) {
-    cursor_ = std::make_unique<PlanCursor>(st.plan, *comm_, in, out,
+    cursor_ = std::make_unique<PlanCursor>(st.plan, *scope, in, out,
                                            stage_block, *op_, base_round_,
                                            tag_);
   } else {
-    cursor_ = std::make_unique<PlanCursor>(st.plan, *comm_, in, out,
+    cursor_ = std::make_unique<PlanCursor>(st.plan, *scope, in, out,
                                            stage_block, base_round_, tag_);
   }
+  return true;
 }
 
 void CompositeCursor::finish_stage() {
-  const CompositeStage& st = plan_.stages_[stage_];
-  const PlanExecution r = cursor_->result();
-  out_.bytes_sent += r.bytes_sent;
-  out_.bytes_reduced += r.bytes_reduced;
-  comm_->record_plan_event(mps::PlanEvent{st.cache_hit,
-                                          st.plan->round_count(),
-                                          r.bytes_sent, r.bytes_reduced,
-                                          tag_});
+  const CompositeStage& st = plan_->stages_[stage_];
+  if (cursor_) {
+    const PlanExecution r = cursor_->result();
+    out_.bytes_sent += r.bytes_sent;
+    out_.bytes_reduced += r.bytes_reduced;
+    comm_->record_plan_event(mps::PlanEvent{st.cache_hit,
+                                            st.plan->round_count(),
+                                            r.bytes_sent, r.bytes_reduced,
+                                            tag_});
+  }
   base_round_ += st.round_stride;
-  const bool last = stage_ + 1 == plan_.stages_.size();
+  const bool last = stage_ + 1 == plan_->stages_.size();
   if (!last) {
-    const CompositeStage& next = plan_.stages_[stage_ + 1];
+    const CompositeStage& next = plan_->stages_[stage_ + 1];
     std::vector<std::byte> next_in(
-        static_cast<std::size_t>(next.in_units * plan_.block_bytes_),
+        static_cast<std::size_t>(next.in_units * plan_->block_bytes_),
         std::byte{0});
     const std::span<const std::byte> out =
         st.user_recv_out ? std::span<const std::byte>(recv_)
                          : std::span<const std::byte>(stage_out_);
-    plan_.apply_splices(st, out, next_in, op_);
+    plan_->apply_splices(st, out, next_in, op_);
     stage_in_ = std::move(next_in);
   }
   cursor_.reset();
+  group_.reset();
   ++stage_;
   if (last) {
     out_.next_round = base_round_;
@@ -552,10 +485,11 @@ void CompositeCursor::finish_stage() {
 std::vector<mps::PortHandle> CompositeCursor::post_ready() {
   std::vector<mps::PortHandle> handles;
   while (!done_) {
-    if (!cursor_) open_stage();
-    const std::vector<mps::PortHandle> batch = cursor_->post_ready();
-    handles.insert(handles.end(), batch.begin(), batch.end());
-    if (!cursor_->done()) break;
+    if (cursor_ || open_stage()) {
+      const std::vector<mps::PortHandle> batch = cursor_->post_ready();
+      handles.insert(handles.end(), batch.begin(), batch.end());
+      if (!cursor_->done()) break;
+    }
     finish_stage();
   }
   return handles;
@@ -563,7 +497,8 @@ std::vector<mps::PortHandle> CompositeCursor::post_ready() {
 
 void CompositeCursor::on_complete(mps::PortHandle h) {
   BRUCK_REQUIRE_MSG(cursor_ != nullptr && !done_,
-                    "completion delivered to a finished composite cursor");
+                    "completion delivered to a composite cursor with no "
+                    "stage in flight");
   cursor_->on_complete(h);
 }
 

@@ -14,13 +14,13 @@
 // agree on every wire round number and the composite returns one
 // fabric-wide next_round.
 //
-// Two drivers walk a composite.  run() is the blocking driver: per stage,
-// construct the sub-communicator, execute the stage plan with the blocking
-// (or pipelined) executor, record the stage's PlanEvent, apply the splices.
-// CompositeCursor is the incremental driver for the progress engine: the
-// PlanCursor state machine lifted one level, advancing through world-scope
-// stages as their cursors drain (it subsumes the engine's former hard-coded
-// allreduce reduce-scatter→allgather chaining).
+// CompositeCursor is the only composite executor: the PlanCursor state
+// machine lifted one level.  Per stage it opens the stage's
+// sub-communicator, runs the stage plan through a PlanCursor, records the
+// stage's PlanEvent and applies the splices, advancing through stages as
+// their cursors drain.  A blocking call drives it with
+// drive_to_completion; the progress engine multiplexes it with other
+// operations.
 //
 // The hierarchical (two-level leader-model) lowerings live here too:
 // lower_index_hier / lower_concat_hier / lower_reduce_hier build the
@@ -46,6 +46,7 @@
 #include "coll/reduction.hpp"
 #include "model/costs.hpp"
 #include "mps/communicator.hpp"
+#include "mps/group.hpp"
 #include "topo/partition.hpp"
 
 namespace bruck::coll {
@@ -142,22 +143,11 @@ class CompositePlan {
   /// The allreduce chain (both stages world-scope): the reduce-scatter plan
   /// of `reduce_key` feeding the allgather plan of `concat_key` through an
   /// identity splice.  Input = the n·b padded contribution vector, output =
-  /// the n·b gathered result.  Replaces the progress engine's former
-  /// bespoke cursor swap.
+  /// the n·b gathered result.
   static CompositePlan allreduce_chain(const PlanKey& reduce_key,
                                        const PlanKey& concat_key,
                                        std::int64_t n,
                                        std::int64_t block_bytes);
-
-  /// Execute every stage back to back with the blocking driver (pipelined =
-  /// false: Plan::run per stage; true: Plan::run_pipelined).  `op` is
-  /// required iff any stage reduces or any splice combines.  Records one
-  /// PlanEvent per executed (non-idle) stage.  Returns the aggregate
-  /// execution: next_round = start_round + round_count(), bytes summed over
-  /// executed stages.
-  PlanExecution run(mps::Communicator& comm, std::span<const std::byte> send,
-                    std::span<std::byte> recv, const ReduceOp* op,
-                    int start_round = 0, bool pipelined = false) const;
 
   [[nodiscard]] const std::vector<CompositeStage>& stages() const {
     return stages_;
@@ -182,9 +172,8 @@ class CompositePlan {
   void apply_splices(const CompositeStage& st,
                      std::span<const std::byte> out,
                      std::span<std::byte> next_in, const ReduceOp* op) const;
-  /// Buffer-contract checks shared by run() and CompositeCursor.
-  void check_contract(std::span<const std::byte> send,
-                      std::span<std::byte> recv, const ReduceOp* op) const;
+  /// Buffer-contract checks of CompositeCursor.
+  void check_contract(const mps::Communicator& comm, const ReduceOp* op) const;
 
   std::string name_;
   std::int64_t n_ = 1;            ///< parent communicator size
@@ -194,17 +183,20 @@ class CompositePlan {
   std::vector<CompositeStage> stages_;
 };
 
-/// Incremental execution of one composite on one rank: the progress
-/// engine's chain driver.  Restricted to world-scope composites (every
-/// stage's members empty and plan non-null) — sub-communicator stages need
-/// the blocking driver.  Same never-blocking post_ready()/on_complete()
-/// discipline as PlanCursor; each stage's PlanEvent is recorded (with this
-/// cursor's tag) as the stage drains, so the owner must NOT record another
-/// event at retirement.  The communicator, buffers, and op must outlive the
-/// cursor; the composite is owned by value.
+/// Incremental execution of one composite on one rank.  Member-scoped
+/// stages run their PlanCursor over a GroupComm of the stage's members
+/// (handles are the parent's, so one completion stream serves every
+/// stage); a rank idle in a stage only advances its base round.  Same
+/// never-blocking post_ready()/on_complete() discipline as PlanCursor; each
+/// executed stage's PlanEvent is recorded (with this cursor's tag) as the
+/// stage drains, so the owner must NOT record another event at retirement.
+/// The communicator, buffers, and op must outlive the cursor; the
+/// composite is shared (immutable).  Every stage posts under `tag` on the
+/// parent communicator.
 class CompositeCursor {
  public:
-  CompositeCursor(CompositePlan plan, mps::Communicator& comm,
+  CompositeCursor(std::shared_ptr<const CompositePlan> plan,
+                  mps::Communicator& comm,
                   std::span<const std::byte> send, std::span<std::byte> recv,
                   const ReduceOp* op, int start_round = 0, int tag = 0);
 
@@ -229,12 +221,14 @@ class CompositeCursor {
   [[nodiscard]] const PlanExecution& result() const;
 
  private:
-  /// Construct the stage_ cursor over the spliced staging buffers.
-  void open_stage();
+  /// Set up the current stage's output staging and, unless this rank is
+  /// idle in it, its cursor (over a GroupComm for member-scoped stages).
+  /// Returns false for an idle stage, which only advances the base round.
+  bool open_stage();
   /// Record the drained stage's event, accumulate totals, splice forward.
   void finish_stage();
 
-  CompositePlan plan_;
+  std::shared_ptr<const CompositePlan> plan_;
   mps::Communicator* comm_;
   std::span<const std::byte> send_;
   std::span<std::byte> recv_;
@@ -244,7 +238,8 @@ class CompositeCursor {
   std::size_t stage_ = 0;
   std::vector<std::byte> stage_in_;   ///< current stage's owned input
   std::vector<std::byte> stage_out_;  ///< current stage's owned output
-  std::unique_ptr<PlanCursor> cursor_;
+  std::unique_ptr<mps::GroupComm> group_;  ///< member-scoped stage's comm
+  std::unique_ptr<PlanCursor> cursor_;  ///< declared after group_: dies first
   PlanExecution out_;
   bool done_ = false;
 };

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "coll/blocks.hpp"
@@ -719,7 +718,7 @@ void Plan::apply_epilogue(std::span<std::byte> recv,
 namespace {
 
 /// The three run-time buffers of one plan execution, with the
-/// PlanBuffer → span mapping both executors share.
+/// PlanBuffer → span mapping of the cursor.
 struct ExecBuffers {
   std::span<const std::byte> send;
   std::span<std::byte> recv;
@@ -835,38 +834,14 @@ void Plan::scatter_message(const PlanMessage& m, std::span<std::byte> dst,
   }
 }
 
-PlanExecution Plan::run(mps::Communicator& comm,
-                        std::span<const std::byte> send,
-                        std::span<std::byte> recv, std::int64_t block_bytes,
-                        int start_round, const LayoutPair& layouts) const {
-  check_run_contract(comm, send, recv, block_bytes, layouts);
-  return run_blocking_impl(comm, send, recv,
-                           Extents{block_bytes, nullptr, nullptr,
-                                   layouts.send, layouts.recv},
-                           start_round);
-}
-
-PlanExecution Plan::run(mps::Communicator& comm,
-                        std::span<const std::byte> send,
-                        std::span<std::byte> recv, const VectorView& view,
-                        int start_round, const LayoutPair& layouts) const {
-  check_vector_contract(comm, send, recv, view, layouts);
-  return run_blocking_impl(comm, send, recv,
-                           Extents{view.pad_bytes, &view, nullptr,
-                                   layouts.send, layouts.recv},
-                           start_round);
-}
-
 PlanExecution Plan::run_pipelined(mps::Communicator& comm,
                                   std::span<const std::byte> send,
                                   std::span<std::byte> recv,
                                   std::int64_t block_bytes, int start_round,
                                   const LayoutPair& layouts) const {
-  check_run_contract(comm, send, recv, block_bytes, layouts);
-  return run_pipelined_impl(comm, send, recv,
-                            Extents{block_bytes, nullptr, nullptr,
-                                    layouts.send, layouts.recv},
-                            start_round);
+  PlanCursor cursor(shared_from_this(), comm, send, recv, block_bytes,
+                    start_round, /*tag=*/0, layouts);
+  return drive_to_completion(comm, cursor);
 }
 
 PlanExecution Plan::run_pipelined(mps::Communicator& comm,
@@ -874,23 +849,9 @@ PlanExecution Plan::run_pipelined(mps::Communicator& comm,
                                   std::span<std::byte> recv,
                                   const VectorView& view, int start_round,
                                   const LayoutPair& layouts) const {
-  check_vector_contract(comm, send, recv, view, layouts);
-  return run_pipelined_impl(comm, send, recv,
-                            Extents{view.pad_bytes, &view, nullptr,
-                                    layouts.send, layouts.recv},
-                            start_round);
-}
-
-PlanExecution Plan::run(mps::Communicator& comm,
-                        std::span<const std::byte> send,
-                        std::span<std::byte> recv, std::int64_t block_bytes,
-                        const ReduceOp& op, int start_round,
-                        const LayoutPair& layouts) const {
-  check_reduce_contract(comm, send, recv, block_bytes, op, layouts);
-  return run_blocking_impl(comm, send, recv,
-                           Extents{block_bytes, nullptr, &op, layouts.send,
-                                   layouts.recv},
-                           start_round);
+  PlanCursor cursor(shared_from_this(), comm, send, recv, view, start_round,
+                    /*tag=*/0, layouts);
+  return drive_to_completion(comm, cursor);
 }
 
 PlanExecution Plan::run_pipelined(mps::Communicator& comm,
@@ -899,127 +860,13 @@ PlanExecution Plan::run_pipelined(mps::Communicator& comm,
                                   std::int64_t block_bytes, const ReduceOp& op,
                                   int start_round,
                                   const LayoutPair& layouts) const {
-  check_reduce_contract(comm, send, recv, block_bytes, op, layouts);
-  return run_pipelined_impl(comm, send, recv,
-                            Extents{block_bytes, nullptr, &op, layouts.send,
-                                    layouts.recv},
-                            start_round);
-}
-
-PlanExecution Plan::run_blocking_impl(mps::Communicator& comm,
-                                      std::span<const std::byte> send,
-                                      std::span<std::byte> recv,
-                                      const Extents& ex,
-                                      int start_round) const {
-  const std::int64_t n = n_;
-  const std::int64_t rank = comm.rank();
-
-  std::vector<std::byte> scratch(
-      needs_scratch_ ? static_cast<std::size_t>(n * ex.b) : 0);
-  apply_prologue(send, recv, scratch, rank, ex);
-  const ExecBuffers buffers{send, recv, scratch};
-
-  const RankProgram& prog = programs_[static_cast<std::size_t>(rank)];
-  PlanExecution out;
-  std::vector<std::vector<std::byte>> out_stage(
-      static_cast<std::size_t>(k_));
-  std::vector<std::vector<std::byte>> in_stage(static_cast<std::size_t>(k_));
-  std::vector<mps::SendSpec> sends;
-  std::vector<mps::RecvSpec> recvs;
-  // Non-contiguous receives pending scatter after the exchange.
-  std::vector<std::pair<const PlanMessage*, const std::byte*>> scatters;
-
-  for (int i = 0; i < round_count_; ++i) {
-    const PlanRound& round = prog.rounds[static_cast<std::size_t>(i)];
-    sends.clear();
-    recvs.clear();
-    scatters.clear();
-
-    for (std::uint32_t s = round.sends_begin; s < round.sends_end; ++s) {
-      const PlanMessage& m = prog.sends[s];
-      const std::int64_t bytes = resolved_message_bytes(m, ex);
-      if (bytes == 0) continue;  // zero-size: pure round counting, off the fabric
-      std::span<const std::byte> payload;
-      if (m.contiguous && active_layout(m.buffer, ex) == nullptr) {
-        // Zero-copy: the message is one byte run of the source buffer.
-        payload = buffers.readable(m.buffer)
-                      .subspan(static_cast<std::size_t>(
-                                   cell_offset(m.cells_begin, m.buffer, ex)),
-                               static_cast<std::size_t>(bytes));
-      } else {
-        std::vector<std::byte>& stage = out_stage[s - round.sends_begin];
-        stage = pack_message(m, buffers.readable(m.buffer), ex);
-        payload = stage;
-      }
-      sends.push_back(mps::SendSpec{m.peer, payload});
-      out.bytes_sent += bytes;
-    }
-
-    for (std::uint32_t r = round.recvs_begin; r < round.recvs_end; ++r) {
-      const PlanMessage& m = prog.recvs[r];
-      const std::int64_t bytes = resolved_message_bytes(m, ex);
-      if (bytes == 0) continue;
-      std::span<std::byte> landing;
-      if (m.contiguous && !m.combine &&
-          active_layout(m.buffer, ex) == nullptr) {
-        landing = buffers.writable(m.buffer)
-                      .subspan(static_cast<std::size_t>(
-                                   cell_offset(m.cells_begin, m.buffer, ex)),
-                               static_cast<std::size_t>(bytes));
-      } else {
-        // Staged: non-contiguous cells, or a combine receive (which must
-        // never land in the accumulator directly).
-        std::vector<std::byte>& stage = in_stage[r - round.recvs_begin];
-        stage.resize(static_cast<std::size_t>(bytes));
-        landing = stage;
-        scatters.emplace_back(&m, stage.data());
-        if (m.combine) out.bytes_reduced += bytes;
-      }
-      recvs.push_back(mps::RecvSpec{m.peer, landing});
-    }
-
-    if (!sends.empty() || !recvs.empty()) {
-      comm.exchange(start_round + i, sends, recvs);
-    }
-
-    for (const auto& [m, data] : scatters) {
-      scatter_message(*m, buffers.writable(m->buffer), data, ex);
-    }
-  }
-
-  apply_epilogue(recv, scratch, rank, ex);
-  out.next_round = start_round + round_count_;
-  return out;
-}
-
-PlanExecution Plan::run_pipelined_impl(mps::Communicator& comm,
-                                       std::span<const std::byte> send,
-                                       std::span<std::byte> recv,
-                                       const Extents& ex,
-                                       int start_round) const {
-  // The blocking pipelined executor is the single-tenant driving loop of
-  // the resumable cursor: post what's postable, block on the engine's
-  // completion stream, feed completions back, repeat.
-  PlanCursor cursor(shared_from_this(), comm, send, recv, ex, start_round,
-                    /*tag=*/0);
-  std::unordered_set<mps::PortHandle> mine;
-  while (!cursor.done()) {
-    for (const mps::PortHandle h : cursor.post_ready()) mine.insert(h);
-    if (cursor.done()) break;
-    BRUCK_ENSURE_MSG(cursor.outstanding() > 0,
-                     "pipelined cursor stalled with nothing in flight");
-    const mps::PortHandle h = comm.wait_any_recv();
-    BRUCK_ENSURE_MSG(mine.erase(h) == 1, "engine reported a foreign handle");
-    cursor.on_complete(h);
-  }
-  // Native engines are fully drained here; the deferred fallback may still
-  // hold posted sends of receive-less rounds — flush them.
-  comm.wait_all_recvs();
-  return cursor.result();
+  PlanCursor cursor(shared_from_this(), comm, send, recv, block_bytes, op,
+                    start_round, /*tag=*/0, layouts);
+  return drive_to_completion(comm, cursor);
 }
 
 // ---------------------------------------------------------------------------
-// PlanCursor: the pipelined executor's state machine, resumable.
+// PlanCursor: the plan executor's state machine, resumable.
 
 PlanCursor::PlanCursor(std::shared_ptr<const Plan> plan,
                        mps::Communicator& comm,
@@ -1085,7 +932,7 @@ PlanCursor::PlanCursor(std::shared_ptr<const Plan> plan,
                  start_round, tag) {}
 
 bool PlanCursor::postable(int i) const {
-  // The double-buffered discipline of the blocking pipelined executor:
+  // The double-buffered posting discipline:
   // round i may overlap round i−1 only when the lowering proved them
   // independent; otherwise the pipeline drains first (true data dependence
   // — e.g. concat Bruck re-sends what it just received).  At most two
@@ -1190,7 +1037,9 @@ std::vector<mps::PortHandle> PlanCursor::post_ready() {
 void PlanCursor::on_complete(mps::PortHandle h) {
   const auto it = posted_.find(h);
   BRUCK_REQUIRE_MSG(it != posted_.end(),
-                    "completion handed to a cursor that does not own it");
+                    "foreign completion: the handle was not posted by this "
+                    "cursor (blocking collectives and raw port operations "
+                    "must not interleave on one communicator)");
   const Posted rec = it->second;
   posted_.erase(it);
   if (rec.take_buffer) {

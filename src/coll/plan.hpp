@@ -16,19 +16,18 @@
 // repeated collective on the same communicator shape does no planning work
 // at all.
 //
-// Two executors walk a plan.  `run()` is the blocking (PR 1) executor:
-// pack, exchange, scatter, strictly round by round.  `run_pipelined()`
-// drives the nonblocking port engine instead: sends are packed straight
-// into wire buffers and posted without waiting, receives complete eagerly
-// in *arrival* order (scatter happens per message, not per round), and
-// round r+1 is posted while round r's receives are still in flight
-// whenever the lowering proved the rounds independent (`pipeline_safe`,
-// computed in finalize() from the cells each round reads and writes).
-// Large payloads can additionally be split into `segments()` wire segments
-// per message — the plan-lowering pipelining knob (tuned through
-// model::pick_segment_count) — so a receiver consumes segment i while
-// segment i+1 is still being produced.  Both executors produce
-// byte-identical results and identical C1/C2 trace accounting.
+// One executor walks a plan: `PlanCursor`, a resumable state machine over
+// the nonblocking port engine.  Sends are packed straight into wire buffers
+// and posted without waiting, receives complete eagerly in *arrival* order
+// (scatter happens per message, not per round), and round r+1 is posted
+// while round r's receives are still in flight whenever the lowering proved
+// the rounds independent (`pipeline_safe`, computed in finalize() from the
+// cells each round reads and writes).  Large payloads can additionally be
+// split into `segments()` wire segments per message — the plan-lowering
+// pipelining knob (tuned through model::pick_segment_count) — so a receiver
+// consumes segment i while segment i+1 is still being produced.
+// `run_pipelined()` is the cursor driven to completion on the caller's
+// stack by `drive_to_completion`, the one blocking drive loop.
 //
 // Index plans are *block-size independent*: their cells are whole blocks,
 // so one plan serves every block_bytes (sizes are resolved at run time).
@@ -59,6 +58,7 @@
 #include "model/costs.hpp"
 #include "mps/communicator.hpp"
 #include "sched/schedule.hpp"
+#include "util/assert.hpp"
 
 namespace bruck::coll {
 
@@ -186,54 +186,38 @@ class Plan : public std::enable_shared_from_this<Plan> {
   /// run time from a VectorView instead of a uniform block size.
   [[nodiscard]] bool irregular() const { return irregular_; }
 
-  /// Execute this rank's program with the blocking round-by-round executor.
-  /// For index plans `send`/`recv` hold n blocks of `block_bytes` each; for
-  /// concat plans `send` is one block and `block_bytes` must equal the
-  /// plan's.  Returns the next free round and the bytes this rank put on
-  /// the wire.
+  /// Execute this rank's program to completion: a PlanCursor at tag 0
+  /// driven by drive_to_completion.  For index plans `send`/`recv` hold n
+  /// blocks of `block_bytes` each; for concat plans `send` is one block and
+  /// `block_bytes` must equal the plan's.  Returns the next free round and
+  /// the bytes this rank put on the wire.
   ///
   /// Blocking: returns once all of this rank's receives have landed.
   /// Thread safety: Plan is immutable after lowering — any number of rank
   /// threads may execute one shared plan concurrently.  Trace: one send
   /// event per nonzero message at its round (segmentation invisible).
   ///
-  /// `layouts` (all run flavors) optionally describes how each block of the
+  /// `layouts` (all overloads) optionally describes how each block of the
   /// user buffers is laid out (layout.hpp): cells gather from / scatter to
   /// the strided layout directly — no staging copy.  Null or contiguous
-  /// layouts reproduce today's behavior bit for bit, including the
-  /// zero-copy contiguous-run fast path.  The layouts must outlive the
-  /// call; wire bytes and trace accounting are layout-independent.
-  PlanExecution run(mps::Communicator& comm, std::span<const std::byte> send,
-                    std::span<std::byte> recv, std::int64_t block_bytes,
-                    int start_round = 0,
-                    const LayoutPair& layouts = {}) const;
-
-  /// Execute this rank's program with the pipelined executor: nonblocking
-  /// posts, eager out-of-order receive completion, cross-round overlap
-  /// where proven safe, and segments() wire segments per message.  Same
-  /// contract, results, and trace accounting as run().
+  /// layouts take the zero-copy contiguous-run fast path.  The layouts
+  /// must outlive the call; wire bytes and trace accounting are
+  /// layout-independent.
   PlanExecution run_pipelined(mps::Communicator& comm,
                               std::span<const std::byte> send,
                               std::span<std::byte> recv,
                               std::int64_t block_bytes, int start_round = 0,
                               const LayoutPair& layouts = {}) const;
 
-  /// Execute a reduction plan with the blocking executor: `send` holds n
-  /// blocks (block j = this rank's contribution to rank j), `recv` one
-  /// block that ends up ⊕-combined over every rank's contribution to this
-  /// rank.  `block_bytes` must be a multiple of op.elem_bytes(); the op
-  /// must be commutative and associative (reduction.hpp).  Reduction plans
-  /// are block-size independent like index plans.
-  PlanExecution run(mps::Communicator& comm, std::span<const std::byte> send,
-                    std::span<std::byte> recv, std::int64_t block_bytes,
-                    const ReduceOp& op, int start_round = 0,
-                    const LayoutPair& layouts = {}) const;
-
-  /// Execute a reduction plan with the pipelined executor: the combine is
-  /// fused into the eager out-of-order completion path, so arithmetic
-  /// overlaps in-flight rounds.  Same contract and results as the blocking
-  /// overload.  A recv layout's blocklen must be a multiple of
-  /// op.elem_bytes() (combines trim at piece edges).
+  /// Execute a reduction plan: `send` holds n blocks (block j = this rank's
+  /// contribution to rank j), `recv` one block that ends up ⊕-combined over
+  /// every rank's contribution to this rank.  `block_bytes` must be a
+  /// multiple of op.elem_bytes(); the op must be commutative and
+  /// associative (reduction.hpp).  Reduction plans are block-size
+  /// independent like index plans.  The combine is fused into the eager
+  /// out-of-order completion path, so arithmetic overlaps in-flight rounds.
+  /// A recv layout's blocklen must be a multiple of op.elem_bytes()
+  /// (combines trim at piece edges).
   PlanExecution run_pipelined(mps::Communicator& comm,
                               std::span<const std::byte> send,
                               std::span<std::byte> recv,
@@ -241,19 +225,13 @@ class Plan : public std::enable_shared_from_this<Plan> {
                               int start_round = 0,
                               const LayoutPair& layouts = {}) const;
 
-  /// Execute an irregular plan with the blocking executor.  For index plans
-  /// `send`/`recv` are laid out by view.send_displs/view.recv_displs; for
-  /// concat plans `send` is this rank's single block (view.counts[rank]
-  /// bytes) and `recv` is laid out by view.recv_displs.  Blocks with a zero
-  /// count never touch the fabric (the round is still counted).
-  PlanExecution run(mps::Communicator& comm, std::span<const std::byte> send,
-                    std::span<std::byte> recv, const VectorView& view,
-                    int start_round = 0, const LayoutPair& layouts = {}) const;
-
-  /// Execute an irregular plan with the pipelined executor.  Same contract,
-  /// results, and trace accounting as the blocking overload.  With layouts,
-  /// each block's displacement is the block *origin* and the layout maps
-  /// its counts[·] logical bytes from there.
+  /// Execute an irregular plan.  For index plans `send`/`recv` are laid out
+  /// by view.send_displs/view.recv_displs; for concat plans `send` is this
+  /// rank's single block (view.counts[rank] bytes) and `recv` is laid out
+  /// by view.recv_displs.  Blocks with a zero count never touch the fabric
+  /// (the round is still counted).  With layouts, each block's
+  /// displacement is the block *origin* and the layout maps its counts[·]
+  /// logical bytes from there.
   PlanExecution run_pipelined(mps::Communicator& comm,
                               std::span<const std::byte> send,
                               std::span<std::byte> recv,
@@ -277,9 +255,9 @@ class Plan : public std::enable_shared_from_this<Plan> {
 
   // -- Lowering entry points (the compiled counterparts of coll/) ----------
   //
-  // `segments` is the pipelined executor's wire-segmentation knob (≥ 1; it
-  // does not change the round/cell structure, only how run_pipelined ships
-  // each message).
+  // `segments` is the executor's wire-segmentation knob (≥ 1; it does not
+  // change the round/cell structure, only how the cursor ships each
+  // message).
 
   static std::shared_ptr<const Plan> lower_index_bruck(std::int64_t n, int k,
                                                        std::int64_t radix,
@@ -384,7 +362,7 @@ class Plan : public std::enable_shared_from_this<Plan> {
     std::vector<PlanMessage> recvs;
     std::vector<PlanRound> rounds;
     /// pipeline_safe[i]: round i's send reads and recv writes are disjoint
-    /// from round i−1's recv writes, so the pipelined executor may post
+    /// from round i−1's recv writes, so the cursor may post
     /// round i before round i−1's receives complete.  Computed in
     /// finalize(); [0] is always false (nothing precedes round 0).
     std::vector<std::uint8_t> pipeline_safe;
@@ -393,10 +371,9 @@ class Plan : public std::enable_shared_from_this<Plan> {
   Plan(PlanCollective collective, std::string algorithm, std::int64_t n, int k,
        std::int64_t block_bytes);
 
-  /// One execution's resolved size/layout context, shared by both
-  /// executors: uniform runs carry the block size; irregular runs carry the
-  /// VectorView (and use `b` as the padded scratch stride); reduction runs
-  /// carry the combine operator.
+  /// One execution's resolved size/layout context: uniform runs carry the
+  /// block size; irregular runs carry the VectorView (and use `b` as the
+  /// padded scratch stride); reduction runs carry the combine operator.
   struct Extents {
     std::int64_t b = 0;
     const VectorView* view = nullptr;  // null for uniform plans
@@ -462,7 +439,7 @@ class Plan : public std::enable_shared_from_this<Plan> {
   /// Compute every rank's pipeline_safe vector (part of finalize()).
   void compute_pipeline_safety();
 
-  // Shared pieces of the two executors.
+  // Pieces of the executor.
   void check_run_contract(const mps::Communicator& comm,
                           std::span<const std::byte> send,
                           std::span<std::byte> recv, std::int64_t b,
@@ -491,16 +468,6 @@ class Plan : public std::enable_shared_from_this<Plan> {
   void scatter_message(const PlanMessage& m, std::span<std::byte> dst,
                        const std::byte* data, const Extents& ex) const;
 
-  // The executor bodies both public run flavors funnel into.
-  PlanExecution run_blocking_impl(mps::Communicator& comm,
-                                  std::span<const std::byte> send,
-                                  std::span<std::byte> recv, const Extents& ex,
-                                  int start_round) const;
-  PlanExecution run_pipelined_impl(mps::Communicator& comm,
-                                   std::span<const std::byte> send,
-                                   std::span<std::byte> recv,
-                                   const Extents& ex, int start_round) const;
-
   friend class PlanCursor;
 
   PlanCollective collective_;
@@ -522,24 +489,24 @@ class Plan : public std::enable_shared_from_this<Plan> {
   std::vector<RankProgram> programs_;  // one per rank
 };
 
-/// Resumable pipelined execution of one plan on one rank: the state machine
-/// of run_pipelined(), exposed incrementally so several collectives can
-/// share one communicator's completion stream.
+/// Resumable execution of one plan on one rank — the library's only plan
+/// executor.  Exposed incrementally so several collectives can share one
+/// communicator's completion stream (the progress engine), and driven to
+/// completion by drive_to_completion for a blocking run.
 ///
 /// The cursor never blocks.  post_ready() posts every round whose
 /// dependence is satisfied — round i is postable once rounds [0, i−1) have
 /// fully drained if the lowering proved it independent of round i−1
-/// (`pipeline_safe`), else once rounds [0, i) have — exactly the
-/// double-buffered posting discipline of the blocking pipelined executor
-/// (at most two rounds in flight).  The owner routes each completed receive
-/// handle back through on_complete(); when the last round drains, the
-/// cursor applies the plan epilogue and becomes done().
+/// (`pipeline_safe`), else once rounds [0, i) have — a double-buffered
+/// posting discipline (at most two rounds in flight).  The owner routes
+/// each completed receive handle back through on_complete(); when the last
+/// round drains, the cursor applies the plan epilogue and becomes done().
 ///
 /// All posts go to the cursor's port-namespace `tag`, so concurrent cursors
 /// on one communicator (the coll:: progress engine) can never alias wire
 /// segments.  The referenced plan, communicator, buffers, ReduceOp, and
-/// VectorView must outlive the cursor; construction runs the same buffer
-/// contract checks as the corresponding run_pipelined overload and applies
+/// VectorView must outlive the cursor; construction runs the buffer
+/// contract checks of the corresponding run_pipelined overload and applies
 /// the prologue.
 class PlanCursor {
  public:
@@ -573,8 +540,8 @@ class PlanCursor {
 
   /// Deliver one completed receive handle previously returned by
   /// post_ready(): consumes the payload (scatter/⊕-combine) and advances
-  /// the drain frontier.  Precondition: `h` belongs to this cursor and was
-  /// not delivered before.
+  /// the drain frontier.  A handle this cursor did not post (a foreign
+  /// completion on the shared stream) throws ContractViolation.
   void on_complete(mps::PortHandle h);
 
   /// True once every round has been posted.
@@ -627,5 +594,29 @@ class PlanCursor {
   PlanExecution out_;
   bool done_ = false;
 };
+
+/// The one blocking drive loop: post what is postable, block on the
+/// communicator's completion stream, feed each completion back, repeat.
+/// Works for any cursor with PlanCursor's post_ready / on_complete / done /
+/// outstanding / result surface (PlanCursor, CompositeCursor, the progress
+/// engine's per-op cursor).  The whole collective shares one receive
+/// timeout budget (mps::DrainDeadline), a cursor with nothing in flight
+/// that is not done is a stall, and a completion the cursor did not post
+/// is rejected by its on_complete.
+template <class Cursor>
+PlanExecution drive_to_completion(mps::Communicator& comm, Cursor& cursor) {
+  const mps::DrainDeadline deadline(comm.recv_timeout());
+  while (true) {
+    (void)cursor.post_ready();
+    if (cursor.done()) break;
+    BRUCK_ENSURE_MSG(cursor.outstanding() > 0,
+                     "cursor stalled: incomplete with no receive in flight");
+    cursor.on_complete(comm.wait_any_recv_within(deadline));
+  }
+  // Native engines are fully drained here; the deferred fallback may still
+  // hold posted sends of receive-less rounds — flush them.
+  comm.wait_all_recvs();
+  return cursor.result();
+}
 
 }  // namespace bruck::coll

@@ -1,14 +1,15 @@
-// ProgressEngine implementation, plus the Request methods (kept here so
-// request.hpp stays dependency-free).
+// ProgressEngine implementation, the inline op runner, plus the Request
+// methods (kept here so request.hpp stays dependency-free).
 //
-// Execution model: every started operation is an `Exec` — one live cursor
-// plus the bookkeeping to retire it.  A solo exec serves one operation; a
-// fused exec serves G same-signature operations through one cursor over
-// interleaved staging buffers; a multi-stage operation (allreduce) drives a
-// CompositeCursor, which chains its stages inside the same tag namespace
-// and records the per-stage PlanEvents itself.  `route_` maps every
-// in-flight receive handle to its exec, so one wait_any_recv() loop drives
-// all tenants regardless of which request the caller holds.
+// Execution model: every started operation runs through an `OpCursor` — a
+// flat PlanCursor or a multi-stage CompositeCursor plus the staging its
+// family needs.  run_serial_op drives one to completion on the caller's
+// stack (blocking calls, the serial fallback).  Inside the engine every
+// started operation is an `Exec`: a solo exec serves one operation; a fused
+// exec serves G same-signature operations through one cursor over
+// interleaved staging buffers.  `route_` maps every in-flight receive handle
+// to its exec, so one wait_any_recv() loop drives all tenants regardless of
+// which request the caller holds.
 #include "coll/progress.hpp"
 
 #include <algorithm>
@@ -50,38 +51,204 @@ std::int64_t fuse_max_block_bytes() {
   return static_cast<std::int64_t>(v);
 }
 
+/// Only flat, block-size-independent plans fuse: a fused execution reuses
+/// the member plan structure at block G·b, which concat (per-exact-b
+/// lowering, last-round strategy re-resolution), irregular plans and
+/// multi-stage composites cannot do.  Layout operations never fuse either —
+/// the fused staging interleaves members' blocks contiguously.
+bool fusable(const OpSpec& spec) {
+  return (spec.family == OpSpec::Family::kAlltoall ||
+          spec.family == OpSpec::Family::kReduceScatter) &&
+         !spec.has_layout && !spec.composite;
+}
+
+/// The cursor-facing view of a spec's layouts.  Points into the spec's own
+/// storage, which outlives the cursor.
+LayoutPair spec_layouts(const OpSpec& spec) {
+  return spec.has_layout ? LayoutPair{&spec.send_layout, &spec.recv_layout}
+                         : LayoutPair{};
+}
+
+/// Modeled measures of the fused exchange: every cost we lower is linear
+/// in the block size with zero intercept, so block G·b scales the byte
+/// measures by G and keeps the round count.
+model::CostMetrics scale_metrics(const model::CostMetrics& per_op, int group) {
+  model::CostMetrics out = per_op;
+  out.c2 *= group;
+  out.total_bytes *= group;
+  out.max_rank_sent *= group;
+  out.max_rank_recv *= group;
+  return out;
+}
+
 }  // namespace
 
-/// One submitted operation: the resolved spec plus completion state and
-/// any engine-owned staging the family needs.
+/// The live execution of one resolved op on one rank, shared by
+/// run_serial_op and the progress engine: a PlanCursor for a flat op, a
+/// CompositeCursor for a multi-stage one, plus the padded staging allreduce
+/// needs.  Never blocks.  When the execution drains it copies an allreduce
+/// result back and records a flat op's PlanEvent (a composite records one
+/// per stage itself).  `spec` must outlive the cursor.
+class OpCursor {
+ public:
+  OpCursor(mps::Communicator& comm, const OpSpec& spec, int start_round,
+           int tag);
+  OpCursor(const OpCursor&) = delete;
+  OpCursor& operator=(const OpCursor&) = delete;
+
+  std::vector<mps::PortHandle> post_ready() {
+    std::vector<mps::PortHandle> handles =
+        chain_ ? chain_->post_ready() : flat_->post_ready();
+    settle();
+    return handles;
+  }
+  void on_complete(mps::PortHandle h) {
+    if (chain_) {
+      chain_->on_complete(h);
+    } else {
+      flat_->on_complete(h);
+    }
+    settle();
+  }
+  [[nodiscard]] bool done() const { return done_; }
+  [[nodiscard]] int outstanding() const {
+    return chain_ ? chain_->outstanding() : flat_->outstanding();
+  }
+  [[nodiscard]] const PlanExecution& result() const {
+    BRUCK_REQUIRE_MSG(done_, "operation result read before completion");
+    return out_;
+  }
+
+ private:
+  /// Run the completion side effects once the underlying cursor drains.
+  void settle();
+
+  mps::Communicator* comm_;
+  const OpSpec* spec_;
+  int tag_ = 0;
+  bool cache_hit_ = false;
+  int rounds_ = 0;
+  VectorView view_;
+  /// Allreduce staging: the zero-padded n·b input and the gathered n·b
+  /// result, used only where the user buffers cannot serve directly.
+  std::vector<std::byte> padded_;
+  std::vector<std::byte> gathered_;
+  std::unique_ptr<PlanCursor> flat_;
+  std::unique_ptr<CompositeCursor> chain_;
+  PlanExecution out_;
+  bool done_ = false;
+};
+
+OpCursor::OpCursor(mps::Communicator& comm, const OpSpec& spec,
+                   int start_round, int tag)
+    : comm_(&comm), spec_(&spec), tag_(tag) {
+  if (spec.composite) {
+    std::span<const std::byte> in = spec.send;
+    std::span<std::byte> out = spec.recv;
+    if (spec.family == OpSpec::Family::kAllreduce) {
+      // Reduce-scatter over the padded n·b vector, allgather into n·b.  The
+      // layouts replace the staging copies: gather the strided payload
+      // straight into the padded scratch (the wire stages run contiguous).
+      const auto padded_bytes = static_cast<std::size_t>(
+          spec.composite->n() * spec.block_bytes);
+      if (spec.has_layout || spec.send.size() != padded_bytes) {
+        padded_.assign(padded_bytes, std::byte{0});
+        if (spec.has_layout) {
+          const std::int64_t logical = spec.send_layout.block_bytes();
+          layout_gather(spec.send, spec.send_layout, 0, 0, logical,
+                        std::span<std::byte>(padded_).first(
+                            static_cast<std::size_t>(logical)));
+        } else if (!spec.send.empty()) {
+          std::memcpy(padded_.data(), spec.send.data(), spec.send.size());
+        }
+        in = padded_;
+      }
+      if (spec.has_layout || spec.recv.size() != padded_bytes) {
+        gathered_.resize(padded_bytes);
+        out = gathered_;
+      }
+    }
+    chain_ = std::make_unique<CompositeCursor>(spec.composite, comm, in, out,
+                                               &spec.op, start_round, tag);
+    return;
+  }
+  const PlanCache::Lookup lookup = PlanCache::global().get_or_lower(spec.key);
+  cache_hit_ = lookup.cache_hit;
+  rounds_ = lookup.plan->round_count();
+  const LayoutPair layouts = spec_layouts(spec);
+  switch (spec.family) {
+    case OpSpec::Family::kAlltoall:
+    case OpSpec::Family::kAllgather:
+      flat_ = std::make_unique<PlanCursor>(lookup.plan, comm, spec.send,
+                                           spec.recv, spec.block_bytes,
+                                           start_round, tag, layouts);
+      break;
+    case OpSpec::Family::kAlltoallv:
+    case OpSpec::Family::kAllgatherv:
+      view_ = VectorView{spec.counts, spec.send_displs, spec.recv_displs,
+                         spec.pad_bytes};
+      flat_ = std::make_unique<PlanCursor>(lookup.plan, comm, spec.send,
+                                           spec.recv, view_, start_round, tag,
+                                           layouts);
+      break;
+    case OpSpec::Family::kReduceScatter:
+      flat_ = std::make_unique<PlanCursor>(lookup.plan, comm, spec.send,
+                                           spec.recv, spec.block_bytes,
+                                           spec.op, start_round, tag, layouts);
+      break;
+    case OpSpec::Family::kAllreduce:
+      BRUCK_ENSURE_MSG(false, "allreduce resolves to a composite chain");
+  }
+}
+
+void OpCursor::settle() {
+  if (done_ || !(chain_ ? chain_->done() : flat_->done())) return;
+  if (chain_) {
+    out_ = chain_->result();
+    const OpSpec& spec = *spec_;
+    if (!gathered_.empty()) {
+      if (spec.has_layout) {
+        const std::int64_t logical = spec.recv_layout.block_bytes();
+        layout_scatter(spec.recv, spec.recv_layout, 0, 0, logical,
+                       std::span<const std::byte>(gathered_).first(
+                           static_cast<std::size_t>(logical)));
+      } else if (!spec.recv.empty()) {
+        std::memcpy(spec.recv.data(), gathered_.data(), spec.recv.size());
+      }
+    }
+  } else {
+    out_ = flat_->result();
+    comm_->record_plan_event(mps::PlanEvent{cache_hit_, rounds_,
+                                            out_.bytes_sent,
+                                            out_.bytes_reduced, tag_});
+  }
+  done_ = true;
+}
+
+PlanExecution run_serial_op(mps::Communicator& comm, const OpSpec& spec,
+                            int start_round) {
+  OpCursor cursor(comm, spec, start_round, /*tag=*/0);
+  return drive_to_completion(comm, cursor);
+}
+
+/// One submitted operation: the resolved spec plus completion state.
 struct ProgressEngine::Op {
   std::uint64_t id = 0;
   OpSpec spec;
-  bool started = false;
   bool done = false;
-  int tag = 0;
   PlanExecution result;
-  /// Irregular runs: spans into spec's owned count/displacement storage.
-  VectorView view;
-  /// Allreduce staging: zero-padded input and the gathered result (copied
-  /// back to the user buffer at retirement); the inter-stage block lives
-  /// inside the CompositeCursor.
-  std::vector<std::byte> padded;
-  std::vector<std::byte> gathered;
 };
 
-/// One live cursor and how to retire it (see the file comment).  Exactly
-/// one of `cursor` (single-schedule) and `chain` (multi-stage composite)
-/// is set.
+/// One live cursor and how to retire it (see the file comment).
 struct ProgressEngine::Exec {
   std::vector<Op*> members;
-  std::shared_ptr<const Plan> plan;
-  std::unique_ptr<PlanCursor> cursor;
-  std::unique_ptr<CompositeCursor> chain;
+  std::unique_ptr<OpCursor> cursor;
   int tag = 0;
   bool fused = false;
-  bool cache_hit = false;
   std::int64_t member_block = 0;  ///< fused: one member's block size
+  /// Fused: the lead's spec re-pointed at the interleaved staging (the
+  /// cursor runs it, so it lives as long as the exec).
+  OpSpec fused_spec;
   std::vector<std::byte> fused_send;
   std::vector<std::byte> fused_recv;
 };
@@ -106,40 +273,6 @@ struct ProgressEngine::FuseSig {
   friend bool operator==(const FuseSig&, const FuseSig&) = default;
 };
 
-namespace {
-
-/// Only block-size-independent plans fuse: a fused execution reuses the
-/// member plan structure at block G·b, which concat (per-exact-b lowering,
-/// last-round strategy re-resolution) and irregular plans cannot do.
-/// Layout operations never fuse either — the fused staging interleaves
-/// members' blocks contiguously.
-bool fusable(const OpSpec& spec) {
-  return (spec.family == OpSpec::Family::kAlltoall ||
-          spec.family == OpSpec::Family::kReduceScatter) &&
-         !spec.has_layout;
-}
-
-/// The cursor-facing view of a spec's layouts.  Points into the Op's own
-/// spec storage (heap-allocated, never moves), so it outlives the cursor.
-LayoutPair spec_layouts(const OpSpec& spec) {
-  return spec.has_layout ? LayoutPair{&spec.send_layout, &spec.recv_layout}
-                         : LayoutPair{};
-}
-
-/// Modeled measures of the fused exchange: every cost we lower is linear
-/// in the block size with zero intercept, so block G·b scales the byte
-/// measures by G and keeps the round count.
-model::CostMetrics scale_metrics(const model::CostMetrics& per_op, int group) {
-  model::CostMetrics out = per_op;
-  out.c2 *= group;
-  out.total_bytes *= group;
-  out.max_rank_sent *= group;
-  out.max_rank_recv *= group;
-  return out;
-}
-
-}  // namespace
-
 ProgressEngine::ProgressEngine(mps::Communicator& comm)
     : comm_(&comm), native_(comm.native_port_engine()) {}
 
@@ -159,12 +292,6 @@ Request ProgressEngine::submit(OpSpec&& spec) {
   auto op = std::make_unique<Op>();
   op->id = id;
   op->spec = std::move(spec);
-  if (op->spec.family == OpSpec::Family::kAlltoallv) {
-    // The spans point into the Op's own storage; the Op is heap-allocated
-    // and never moves, so the view stays valid for its whole life.
-    op->view = VectorView{op->spec.counts, op->spec.send_displs,
-                          op->spec.recv_displs, op->spec.pad_bytes};
-  }
   ops_.emplace(id, std::move(op));
   pending_.push_back(id);
   ++stats_.submitted;
@@ -246,59 +373,13 @@ void ProgressEngine::seal() {
 }
 
 void ProgressEngine::start_solo(Op* op) {
-  OpSpec& spec = op->spec;
-  op->tag = comm_->allocate_collective_tag();
+  const int tag = comm_->allocate_collective_tag();
   ++stats_.tags_used;
-  const PlanCache::Lookup lookup = PlanCache::global().get_or_lower(spec.key);
   auto exec = std::make_unique<Exec>();
   exec->members = {op};
-  exec->plan = lookup.plan;
-  exec->cache_hit = lookup.cache_hit;
-  exec->tag = op->tag;
-  switch (spec.family) {
-    case OpSpec::Family::kAlltoall:
-    case OpSpec::Family::kAllgather:
-      exec->cursor = std::make_unique<PlanCursor>(
-          lookup.plan, *comm_, spec.send, spec.recv, spec.block_bytes,
-          spec.start_round, op->tag, spec_layouts(spec));
-      break;
-    case OpSpec::Family::kAlltoallv:
-      exec->cursor = std::make_unique<PlanCursor>(
-          lookup.plan, *comm_, spec.send, spec.recv, op->view,
-          spec.start_round, op->tag, spec_layouts(spec));
-      break;
-    case OpSpec::Family::kReduceScatter:
-      exec->cursor = std::make_unique<PlanCursor>(
-          lookup.plan, *comm_, spec.send, spec.recv, spec.block_bytes,
-          spec.op, spec.start_round, op->tag, spec_layouts(spec));
-      break;
-    case OpSpec::Family::kAllreduce: {
-      const std::int64_t n = spec.key.n;
-      const std::int64_t b = spec.block_bytes;
-      op->padded.assign(static_cast<std::size_t>(n * b), std::byte{0});
-      if (spec.has_layout) {
-        // The layouts replace the staging copies: gather the strided user
-        // payload straight into the padded scratch (the wire stages run
-        // contiguous).
-        const std::int64_t logical = spec.send_layout.block_bytes();
-        layout_gather(spec.send, spec.send_layout, 0, 0, logical,
-                      std::span<std::byte>(op->padded).first(
-                          static_cast<std::size_t>(logical)));
-      } else if (!spec.send.empty()) {
-        std::memcpy(op->padded.data(), spec.send.data(), spec.send.size());
-      }
-      op->gathered.resize(static_cast<std::size_t>(n * b));
-      // The generic stage chain: reduce-scatter feeding allgather through
-      // an identity splice, one tag namespace, per-stage events recorded by
-      // the composite cursor itself.
-      exec->chain = std::make_unique<CompositeCursor>(
-          CompositePlan::allreduce_chain(spec.key, spec.concat_key, n, b),
-          *comm_, op->padded, op->gathered, &spec.op, spec.start_round,
-          op->tag);
-      break;
-    }
-  }
-  op->started = true;
+  exec->tag = tag;
+  exec->cursor =
+      std::make_unique<OpCursor>(*comm_, op->spec, op->spec.start_round, tag);
   Exec* raw = exec.get();
   live_.push_back(std::move(exec));
   pump_posts(*raw);
@@ -322,20 +403,10 @@ void ProgressEngine::start_fused(const std::vector<Op*>& members) {
         "fusion member buffers do not match the collective's block layout");
   }
 
-  // The member plan structure at block G·b, keeping the members' resolved
-  // wire segmentation.  Batching exists to amortize the per-message count
-  // across tenants; re-tuning segments against the G× fused message sizes
-  // would split each fused message G ways and hand the amortized messages
-  // straight back.
-  PlanKey fused_key = lead.key;
-  const PlanCache::Lookup lookup = PlanCache::global().get_or_lower(fused_key);
-
   const int tag = comm_->allocate_collective_tag();
   ++stats_.tags_used;
   auto exec = std::make_unique<Exec>();
   exec->members = members;
-  exec->plan = lookup.plan;
-  exec->cache_hit = lookup.cache_hit;
   exec->tag = tag;
   exec->fused = true;
   exec->member_block = b;
@@ -354,20 +425,17 @@ void ProgressEngine::start_fused(const std::vector<Op*>& members) {
       }
     }
   }
-  if (reduce) {
-    exec->cursor = std::make_unique<PlanCursor>(
-        lookup.plan, *comm_, exec->fused_send, exec->fused_recv, bf, lead.op,
-        lead.start_round, tag);
-  } else {
-    exec->cursor = std::make_unique<PlanCursor>(lookup.plan, *comm_,
-                                                exec->fused_send,
-                                                exec->fused_recv, bf,
-                                                lead.start_round, tag);
-  }
-  for (Op* member : members) {
-    member->tag = tag;
-    member->started = true;
-  }
+  // The member plan structure at block G·b, keeping the members' resolved
+  // wire segmentation (the lead's key).  Batching exists to amortize the
+  // per-message count across tenants; re-tuning segments against the G×
+  // fused message sizes would split each fused message G ways and hand the
+  // amortized messages straight back.
+  exec->fused_spec = lead;
+  exec->fused_spec.send = exec->fused_send;
+  exec->fused_spec.recv = exec->fused_recv;
+  exec->fused_spec.block_bytes = bf;
+  exec->cursor = std::make_unique<OpCursor>(*comm_, exec->fused_spec,
+                                            lead.start_round, tag);
   ++stats_.fused_groups;
   stats_.fused_members += static_cast<std::uint64_t>(group_size);
   Exec* raw = exec.get();
@@ -376,12 +444,10 @@ void ProgressEngine::start_fused(const std::vector<Op*>& members) {
 }
 
 void ProgressEngine::pump_posts(Exec& exec) {
-  const std::vector<mps::PortHandle> handles =
-      exec.chain ? exec.chain->post_ready() : exec.cursor->post_ready();
-  for (const mps::PortHandle h : handles) {
+  for (const mps::PortHandle h : exec.cursor->post_ready()) {
     route_.emplace(h, &exec);
   }
-  if (exec.chain ? exec.chain->done() : exec.cursor->done()) retire(exec);
+  if (exec.cursor->done()) retire(exec);
 }
 
 void ProgressEngine::deliver(mps::PortHandle h) {
@@ -392,38 +458,21 @@ void ProgressEngine::deliver(mps::PortHandle h) {
                     "allowed while nonblocking requests are outstanding");
   Exec& exec = *it->second;
   route_.erase(it);
-  if (exec.chain) {
-    exec.chain->on_complete(h);
-  } else {
-    exec.cursor->on_complete(h);
-  }
+  exec.cursor->on_complete(h);
   pump_posts(exec);
 }
 
 void ProgressEngine::retire(Exec& exec) {
-  Op* lead = exec.members.front();
-  PlanExecution r;
-  if (exec.chain) {
-    // The composite cursor recorded one PlanEvent per stage as it drained;
-    // its result already aggregates the stages.
-    r = exec.chain->result();
-  } else {
-    r = exec.cursor->result();
-    comm_->record_plan_event(mps::PlanEvent{exec.cache_hit,
-                                            exec.plan->round_count(),
-                                            r.bytes_sent, r.bytes_reduced,
-                                            exec.tag});
-  }
-
+  const PlanExecution r = exec.cursor->result();
   if (exec.fused) {
     // Scatter the interleaved result back and split the totals evenly
     // (members are byte-identical in shape).
     const int group_size = static_cast<int>(exec.members.size());
     const std::int64_t b = exec.member_block;
     const std::int64_t bf = group_size * b;
-    const bool reduce =
-        lead->spec.family == OpSpec::Family::kReduceScatter;
-    const std::int64_t recv_blocks = reduce ? 1 : lead->spec.key.n;
+    const OpSpec& lead = exec.members.front()->spec;
+    const bool reduce = lead.family == OpSpec::Family::kReduceScatter;
+    const std::int64_t recv_blocks = reduce ? 1 : lead.key.n;
     if (b > 0) {
       for (std::int64_t i = 0; i < recv_blocks; ++i) {
         for (int m = 0; m < group_size; ++m) {
@@ -439,19 +488,8 @@ void ProgressEngine::retire(Exec& exec) {
       member->result = PlanExecution{r.next_round, r.bytes_sent / group_size,
                                      r.bytes_reduced / group_size};
     }
-  } else if (lead->spec.family == OpSpec::Family::kAllreduce) {
-    if (lead->spec.has_layout) {
-      const std::int64_t logical = lead->spec.recv_layout.block_bytes();
-      layout_scatter(lead->spec.recv, lead->spec.recv_layout, 0, 0, logical,
-                     std::span<const std::byte>(lead->gathered).first(
-                         static_cast<std::size_t>(logical)));
-    } else if (!lead->spec.recv.empty()) {
-      std::memcpy(lead->spec.recv.data(), lead->gathered.data(),
-                  lead->spec.recv.size());
-    }
-    lead->result = r;
   } else {
-    lead->result = r;
+    exec.members.front()->result = r;
   }
 
   for (Op* member : exec.members) member->done = true;
@@ -533,98 +571,16 @@ void ProgressEngine::run_serial_until(std::uint64_t id) {
     pending_.erase(pending_.begin());
     Op* op = find_op(front);
     BRUCK_ENSURE(op != nullptr);
-    run_serial_op(*op);
+    // One exchange-backed round space is shared by everything on the comm:
+    // chain each operation after the previous one's rounds.
+    op->result = run_serial_op(
+        *comm_, op->spec, std::max(op->spec.start_round, serial_next_round_));
+    serial_next_round_ = std::max(serial_next_round_, op->result.next_round);
+    op->done = true;
+    ++stats_.serial_fallback;
+    ++stats_.completed;
     if (front == id) return;
   }
-}
-
-void ProgressEngine::run_serial_op(Op& op) {
-  OpSpec& spec = op.spec;
-  // One exchange-backed round space is shared by everything on the comm:
-  // chain each operation after the previous one's rounds.
-  const int start = std::max(spec.start_round, serial_next_round_);
-  op.tag = 0;
-  op.started = true;
-  const PlanCache::Lookup lookup = PlanCache::global().get_or_lower(spec.key);
-  switch (spec.family) {
-    case OpSpec::Family::kAlltoall:
-    case OpSpec::Family::kAllgather: {
-      PlanCursor cursor(lookup.plan, *comm_, spec.send, spec.recv,
-                        spec.block_bytes, start, /*tag=*/0,
-                        spec_layouts(spec));
-      op.result = drive_blocking(cursor);
-      comm_->record_plan_event(mps::PlanEvent{lookup.cache_hit,
-                                              lookup.plan->round_count(),
-                                              op.result.bytes_sent});
-      break;
-    }
-    case OpSpec::Family::kAlltoallv: {
-      PlanCursor cursor(lookup.plan, *comm_, spec.send, spec.recv, op.view,
-                        start, /*tag=*/0, spec_layouts(spec));
-      op.result = drive_blocking(cursor);
-      comm_->record_plan_event(mps::PlanEvent{lookup.cache_hit,
-                                              lookup.plan->round_count(),
-                                              op.result.bytes_sent});
-      break;
-    }
-    case OpSpec::Family::kReduceScatter: {
-      PlanCursor cursor(lookup.plan, *comm_, spec.send, spec.recv,
-                        spec.block_bytes, spec.op, start, /*tag=*/0,
-                        spec_layouts(spec));
-      op.result = drive_blocking(cursor);
-      comm_->record_plan_event(
-          mps::PlanEvent{lookup.cache_hit, lookup.plan->round_count(),
-                         op.result.bytes_sent, op.result.bytes_reduced});
-      break;
-    }
-    case OpSpec::Family::kAllreduce: {
-      // Same generic stage chain as the native path, driven by the
-      // blocking composite runner (which records the per-stage events).
-      const std::int64_t n = spec.key.n;
-      const std::int64_t b = spec.block_bytes;
-      op.padded.assign(static_cast<std::size_t>(n * b), std::byte{0});
-      if (spec.has_layout) {
-        const std::int64_t logical = spec.send_layout.block_bytes();
-        layout_gather(spec.send, spec.send_layout, 0, 0, logical,
-                      std::span<std::byte>(op.padded).first(
-                          static_cast<std::size_t>(logical)));
-      } else if (!spec.send.empty()) {
-        std::memcpy(op.padded.data(), spec.send.data(), spec.send.size());
-      }
-      op.gathered.resize(static_cast<std::size_t>(n * b));
-      const CompositePlan chain =
-          CompositePlan::allreduce_chain(spec.key, spec.concat_key, n, b);
-      op.result = chain.run(*comm_, op.padded, op.gathered, &spec.op, start);
-      if (spec.has_layout) {
-        const std::int64_t logical = spec.recv_layout.block_bytes();
-        layout_scatter(spec.recv, spec.recv_layout, 0, 0, logical,
-                       std::span<const std::byte>(op.gathered).first(
-                           static_cast<std::size_t>(logical)));
-      } else if (!spec.recv.empty()) {
-        std::memcpy(spec.recv.data(), op.gathered.data(), spec.recv.size());
-      }
-      break;
-    }
-  }
-  serial_next_round_ = std::max(serial_next_round_, op.result.next_round);
-  op.done = true;
-  ++stats_.serial_fallback;
-  ++stats_.completed;
-}
-
-PlanExecution ProgressEngine::drive_blocking(PlanCursor& cursor) {
-  // Same one-budget-per-drive rule as ProgressEngine::wait.
-  const mps::DrainDeadline deadline(comm_->recv_timeout());
-  while (!cursor.done()) {
-    (void)cursor.post_ready();
-    if (cursor.done()) break;
-    BRUCK_ENSURE_MSG(cursor.outstanding() > 0,
-                     "fallback cursor stalled with nothing in flight");
-    cursor.on_complete(comm_->wait_any_recv_within(deadline));
-  }
-  // Flush receive-less trailing rounds the deferred engine still queues.
-  comm_->wait_all_recvs();
-  return cursor.result();
 }
 
 // -- Request ---------------------------------------------------------------

@@ -1,14 +1,16 @@
 // The multi-tenant progress engine behind the nonblocking collectives.
 //
-// One engine exists per communicator (per rank thread).  The i* entry
-// points of api.hpp resolve an execution recipe — exactly the blocking
-// facade's tuner/radix/segment resolution — and submit() it here; the
-// engine owns every outstanding operation and multiplexes them over the
-// communicator's single port-engine completion stream: each operation runs
-// as a resumable PlanCursor in its own port-namespace tag, completed
-// receive handles are routed back to their cursor through a handle→cursor
-// map, and test()/wait() drive whichever cursors have work regardless of
-// which request the caller is holding.
+// Every collective call of api.hpp is resolved once into an `OpSpec` — the
+// tuner's algorithm/radix/segment pick, the plan key or multi-stage
+// composite, the layouts and shapes.  A blocking call runs that spec inline
+// on the caller's stack (run_serial_op); an i* call submit()s the very same
+// spec here.  One engine exists per communicator (per rank thread); it owns
+// every outstanding operation and multiplexes them over the communicator's
+// single port-engine completion stream: each operation runs as a resumable
+// cursor in its own port-namespace tag, completed receive handles are
+// routed back to their cursor through a handle→cursor map, and
+// test()/wait() drive whichever cursors have work regardless of which
+// request the caller is holding.
 //
 // Lazy start and batching: a submitted operation does not touch the wire
 // until the first test()/wait() on any of the communicator's requests.
@@ -40,6 +42,7 @@
 #include <vector>
 
 #include "coll/layout.hpp"
+#include "coll/plan.hpp"
 #include "coll/plan_cache.hpp"
 #include "coll/reduction.hpp"
 #include "coll/request.hpp"
@@ -49,55 +52,70 @@
 
 namespace bruck::coll {
 
-/// One resolved nonblocking operation, as handed to ProgressEngine::submit
-/// by the i* facade (api.cpp).  Everything the tuner decides is already
-/// resolved; the engine only schedules and executes.
+class CompositePlan;
+
+/// One resolved collective call, as produced by the facade's per-family
+/// resolver (api.cpp).  Everything the tuner decides is already resolved;
+/// the blocking call runs it inline (run_serial_op) and the i* call submits
+/// it to the ProgressEngine, so both forms execute the same recipe.
 struct OpSpec {
-  /// Which i* entry point produced this spec.
+  /// Which collective family produced this spec.
   enum class Family {
     kAlltoall,       ///< uniform index operation
     kAllgather,      ///< uniform concatenation
     kAlltoallv,      ///< irregular index operation
+    kAllgatherv,     ///< irregular concatenation (blocking only)
     kReduceScatter,  ///< uniform reduce-scatter
-    kAllreduce,      ///< two-stage: reduce-scatter then allgather
+    kAllreduce,      ///< reduce-scatter then allgather (a composite chain)
   };
 
   Family family = Family::kAlltoall;
-  /// User payload buffers; must outlive the request.
+  /// User payload buffers; must outlive the operation.
   std::span<const std::byte> send;
   std::span<std::byte> recv;
   /// Uniform block size (allreduce: the padded stage block size).
   std::int64_t block_bytes = 0;
-  /// Resolved plan key of the (primary-stage) execution.
+  /// Resolved plan key of a flat (single-schedule) execution; unused when
+  /// `composite` is set.
   PlanKey key;
   /// Modeled measures behind `key` — the fusion decision's per-member input.
   model::CostMetrics predicted;
   /// Machine profile the recipe was tuned under.
   model::LinearModel machine;
-  /// The raw user segment knob (0 = tune): a fused execution re-resolves
-  /// it against the fused block size.
+  /// The raw user segment knob (0 = tune), part of the fusion signature.
   int requested_segments = 0;
   int start_round = 0;
   /// Combine operator (reduction families; copied, not referenced).
   ReduceOp op;
-  /// Allreduce only: resolved key and measures of the allgather stage.
-  PlanKey concat_key;
-  /// Irregular shapes (alltoallv): owned copies — the engine outlives the
-  /// caller's tables.
+  /// Multi-stage execution, run by a CompositeCursor instead of one plan:
+  /// allreduce's reduce-scatter → allgather chain, or a hierarchical
+  /// (leader-model) composite lowered for this rank.  Composite operations
+  /// never fuse.
+  std::shared_ptr<const CompositePlan> composite;
+  /// Irregular shapes: owned copies (the engine outlives the caller's
+  /// tables).  allgatherv leaves send_displs empty.
   std::vector<std::int64_t> counts;
   std::vector<std::int64_t> send_displs;
   std::vector<std::int64_t> recv_displs;
-  /// Irregular scratch stride (max pair bytes over `counts`).
+  /// Irregular scratch stride (max block bytes over `counts`).
   std::int64_t pad_bytes = 0;
   /// Strided user-buffer layouts (value-stored: the engine outlives the
-  /// caller's stack; the Op never moves, so cursors can point into these).
-  /// has_layout marks a layout-overload submission — the facade only sets
-  /// it for genuinely non-contiguous layouts, and it disables fusion
-  /// (fusion interleaves contiguous blocks).
+  /// caller's stack; the spec never moves while it runs, so cursors can
+  /// point into these).  has_layout marks a genuinely non-contiguous
+  /// layout-overload call — contiguous layouts resolve as the plain call —
+  /// and disables fusion (fusion interleaves contiguous blocks).
   Layout send_layout;
   Layout recv_layout;
   bool has_layout = false;
 };
+
+/// Run one resolved operation to completion on the caller's stack, at tag 0,
+/// starting at `start_round`: the executor of every blocking collective and
+/// of the progress engine's serial fallback.  Records the op's PlanEvent
+/// (one per executed stage for composites).  `spec` must stay unmoved for
+/// the call.
+PlanExecution run_serial_op(mps::Communicator& comm, const OpSpec& spec,
+                            int start_round);
 
 /// Counters of one communicator's progress engine since construction.
 struct ProgressStats {
@@ -165,16 +183,12 @@ class ProgressEngine {
   void pump_posts(Exec& exec);
   /// Route one completed receive handle to its cursor.
   void deliver(mps::PortHandle h);
-  /// Finish one exec: scatter fused payloads back, record plan events
-  /// (composite chains record their own per-stage events), release the
-  /// tag, mark members done.
+  /// Finish one exec: scatter fused payloads back, release the tag, mark
+  /// members done.
   void retire(Exec& exec);
   /// Serial FIFO fallback: run queued operations (oldest first) to
-  /// completion, through `id` inclusive.
+  /// completion with run_serial_op, through `id` inclusive.
   void run_serial_until(std::uint64_t id);
-  void run_serial_op(Op& op);
-  /// Drive one cursor to completion, blocking (the fallback executor).
-  PlanExecution drive_blocking(PlanCursor& cursor);
 
   mps::Communicator* comm_;
   bool native_ = false;

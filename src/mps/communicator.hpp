@@ -89,10 +89,6 @@ struct PlanEvent {
   /// Port-namespace tag the execution ran in (0 = blocking/default path;
   /// nonblocking collectives report the tag their progress engine assigned).
   int tag = 0;
-  /// Wall-clock time of this execution on this rank in microseconds
-  /// (0 where the path doesn't time itself); the adaptive tuner's feedback
-  /// signal, compared against the cost model's predicted_us.
-  double wall_us = 0.0;
 };
 
 /// Identifies one posted (nonblocking) receive on one communicator.

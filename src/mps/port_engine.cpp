@@ -15,9 +15,14 @@ std::int64_t wire_segment_length(std::int64_t total, int segments, int i) {
   return base + (i < rem ? 1 : 0);
 }
 
-int effective_wire_segments(std::int64_t total, int segments) {
-  return static_cast<int>(
-      std::clamp<std::int64_t>(segments, 1, std::max<std::int64_t>(1, total)));
+int effective_wire_segments(std::int64_t total, int segments,
+                            std::int64_t max_segment) {
+  std::int64_t s =
+      std::clamp<std::int64_t>(segments, 1, std::max<std::int64_t>(1, total));
+  if (max_segment > 0 && (total + s - 1) / s > max_segment) {
+    s = (total + max_segment - 1) / max_segment;
+  }
+  return static_cast<int>(s);
 }
 
 WirePortEngine::WirePortEngine(std::int64_t peers)
@@ -75,7 +80,8 @@ void WirePortEngine::wire_send(int round, std::int64_t dst,
   // One logical send event, regardless of wire segmentation: C1/C2 stay the
   // paper's measures of the declared round structure.
   record_send_event(round, dst, total, tag);
-  const int s = effective_wire_segments(total, segments);
+  const int s =
+      effective_wire_segments(total, segments, max_wire_segment_bytes());
   auto& seq = send_seq(tag, dst);
   if (s == 1) {
     Message m;
@@ -126,7 +132,6 @@ void WirePortEngine::post_send(int round, std::int64_t dst,
 
 PortHandle WirePortEngine::add_recv_op(RecvOp&& op) {
   op.handle = next_handle_++;
-  op.segments = effective_wire_segments(op.total, op.segments);
   const PortHandle h = op.handle;
   const int tag = op.tag;
   const std::int64_t src = op.src;
@@ -149,7 +154,8 @@ PortHandle WirePortEngine::post_recv(int round, std::int64_t src,
   op.round = round;
   op.landing = data;
   op.total = static_cast<std::int64_t>(data.size());
-  op.segments = segments;
+  op.segments =
+      effective_wire_segments(op.total, segments, max_wire_segment_bytes());
   return add_recv_op(std::move(op));
 }
 
@@ -163,8 +169,9 @@ PortHandle WirePortEngine::post_recv_buffer(int round, std::int64_t src,
   op.round = round;
   op.take_buffer = true;
   op.total = bytes;
-  op.segments = segments;
-  if (segments > 1) {
+  op.segments =
+      effective_wire_segments(bytes, segments, max_wire_segment_bytes());
+  if (op.segments > 1) {
     // Multi-segment: pre-size the buffer, segments land by memcpy.  The
     // single-segment case steals the wire payload instead (deliver).
     op.owned.resize(static_cast<std::size_t>(bytes));

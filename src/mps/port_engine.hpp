@@ -45,8 +45,13 @@ namespace bruck::mps {
 [[nodiscard]] std::int64_t wire_segment_length(std::int64_t total, int segments,
                                                int i);
 
-/// Effective wire segment count: never more segments than bytes.
-[[nodiscard]] int effective_wire_segments(std::int64_t total, int segments);
+/// Effective wire segment count of a `total`-byte message: the requested
+/// count, never more segments than bytes, raised until no segment exceeds
+/// the fabric's frame cap `max_segment` (0 = unbounded).  A message that
+/// already fits keeps its requested count.  Sender and receiver derive the
+/// same count from the same (total, requested, cap).
+[[nodiscard]] int effective_wire_segments(std::int64_t total, int segments,
+                                          std::int64_t max_segment);
 
 class WirePortEngine : public Communicator {
  public:
@@ -93,6 +98,13 @@ class WirePortEngine : public Communicator {
   /// One *logical* send (regardless of wire segmentation), at post time.
   virtual void record_send_event(int round, std::int64_t dst,
                                  std::int64_t bytes, int tag) = 0;
+
+  /// Largest wire segment the fabric can move in one frame (0 = unbounded).
+  /// Must be the same on every rank of a fabric: both ends of a message
+  /// derive its segment count from it.
+  [[nodiscard]] virtual std::int64_t max_wire_segment_bytes() const {
+    return 0;
+  }
 
  private:
   /// One posted logical receive.

@@ -122,6 +122,10 @@ class ShmComm final : public WirePortEngine {
                                   std::chrono::milliseconds timeout) override;
   void record_send_event(int round, std::int64_t dst, std::int64_t bytes,
                          int tag) override;
+  /// One ring record: every rank's ring has the same capacity.
+  [[nodiscard]] std::int64_t max_wire_segment_bytes() const override {
+    return static_cast<std::int64_t>(inbound_.max_payload_bytes());
+  }
 
  private:
   struct Control;

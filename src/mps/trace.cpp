@@ -113,7 +113,6 @@ PlanStats Trace::plan_stats() const {
       stats.rounds += e.rounds;
       stats.bytes_sent += e.bytes_sent;
       stats.bytes_reduced += e.bytes_reduced;
-      stats.wall_us += e.wall_us;
     }
   }
   return stats;

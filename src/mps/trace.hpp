@@ -34,8 +34,6 @@ struct PlanStats {
   std::int64_t bytes_sent = 0;  ///< Σ per-rank payload bytes
   /// Σ per-rank bytes combined on receive (reduction collectives; 0 else).
   std::int64_t bytes_reduced = 0;
-  /// Σ per-execution wall-clock microseconds (0 for untimed paths).
-  double wall_us = 0.0;
 
   friend bool operator==(const PlanStats&, const PlanStats&) = default;
 };

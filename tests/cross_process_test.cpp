@@ -10,6 +10,7 @@
 // the trial with the backend and configuration named.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -259,7 +260,8 @@ TEST(CrossProcess, LargerFabricSingleConfig) {
 /// The hierarchical leg: all three leader-model composites chained on one
 /// communicator with a forced non-dividing group size, so the GroupComm
 /// gather/scatter stages and the inter-leader exchange all run over the
-/// real fabric under test.
+/// real fabric under test — blocking, then again as i* operations (the
+/// blob's second half), which must run the same composites.
 std::vector<std::byte> hier_body(mps::Communicator& comm,
                                  const SweepConfig& cfg, std::int64_t group) {
   const std::int64_t n = comm.size();
@@ -273,23 +275,18 @@ std::vector<std::byte> hier_body(mps::Communicator& comm,
   coll::AlltoallOptions ao;
   ao.hier = coll::HierMode::kOn;
   ao.hier_group = group;
-  std::vector<std::byte> isend(static_cast<std::size_t>(n * b));
-  std::vector<std::byte> irecv(isend.size(), std::byte{0xEE});
-  coll::fill_index_send(isend, n, rank, b, cfg.seed);
-  int round = coll::alltoall(comm, isend, irecv, b, ao);
-  append(irecv);
-
   coll::AllgatherOptions go;
   go.hier = coll::HierMode::kOn;
   go.hier_group = group;
-  go.start_round = round;
-  std::vector<std::byte> csend(static_cast<std::size_t>(b));
-  std::vector<std::byte> crecv(static_cast<std::size_t>(n * b),
-                               std::byte{0xEE});
-  coll::fill_concat_send(csend, rank, b, cfg.seed + 1);
-  round = coll::allgather(comm, csend, crecv, b, go);
-  append(crecv);
+  coll::ReduceScatterOptions ro;
+  ro.hier = coll::HierMode::kOn;
+  ro.hier_group = group;
+  const coll::ReduceOp op = coll::ReduceOp::sum(coll::ReduceElem::kI64);
 
+  std::vector<std::byte> isend(static_cast<std::size_t>(n * b));
+  coll::fill_index_send(isend, n, rank, b, cfg.seed);
+  std::vector<std::byte> csend(static_cast<std::size_t>(b));
+  coll::fill_concat_send(csend, rank, b, cfg.seed + 1);
   const std::int64_t rbytes = 16;
   std::vector<std::byte> rsend(static_cast<std::size_t>(n * rbytes));
   for (std::int64_t j = 0; j < n; ++j) {
@@ -298,16 +295,40 @@ std::vector<std::byte> hier_body(mps::Communicator& comm,
       std::memcpy(rsend.data() + j * rbytes + e * 8, &v, 8);
     }
   }
-  std::vector<std::byte> rrecv(static_cast<std::size_t>(rbytes),
-                               std::byte{0xEE});
-  coll::ReduceScatterOptions ro;
-  ro.hier = coll::HierMode::kOn;
-  ro.hier_group = group;
-  ro.start_round = round;
-  coll::reduce_scatter(comm, rsend, rrecv, rbytes,
-                       coll::ReduceOp::sum(coll::ReduceElem::kI64), ro);
-  append(rrecv);
 
+  // The blocking calls chain their rounds through tag 0; each i* call runs
+  // in a tag of its own, from round 0.
+  int round = 0;
+  for (const bool nonblocking : {false, true}) {
+    std::vector<std::byte> irecv(isend.size(), std::byte{0xEE});
+    ao.start_round = nonblocking ? 0 : round;
+    if (nonblocking) {
+      (void)coll::ialltoall(comm, isend, irecv, b, ao).wait();
+    } else {
+      round = coll::alltoall(comm, isend, irecv, b, ao);
+    }
+    append(irecv);
+
+    std::vector<std::byte> crecv(static_cast<std::size_t>(n * b),
+                                 std::byte{0xEE});
+    go.start_round = nonblocking ? 0 : round;
+    if (nonblocking) {
+      (void)coll::iallgather(comm, csend, crecv, b, go).wait();
+    } else {
+      round = coll::allgather(comm, csend, crecv, b, go);
+    }
+    append(crecv);
+
+    std::vector<std::byte> rrecv(static_cast<std::size_t>(rbytes),
+                                 std::byte{0xEE});
+    ro.start_round = nonblocking ? 0 : round;
+    if (nonblocking) {
+      (void)coll::ireduce_scatter(comm, rsend, rrecv, rbytes, op, ro).wait();
+    } else {
+      round = coll::reduce_scatter(comm, rsend, rrecv, rbytes, op, ro);
+    }
+    append(rrecv);
+  }
   return blob;
 }
 
@@ -331,6 +352,12 @@ TEST(CrossProcess, HierarchicalLeaderModelMatchesOracleBitwise) {
 
   so.backend = mps::FabricBackend::kThread;
   const mps::SpawnResult oracle = mps::spawn_local(so, body);
+  for (const auto& blob : oracle.rank_payloads) {
+    const auto half =
+        blob.begin() + static_cast<std::ptrdiff_t>(blob.size() / 2);
+    ASSERT_TRUE(std::equal(blob.begin(), half, half, blob.end()))
+        << "i* hierarchical payload diverged from the blocking call";
+  }
   for (const mps::FabricBackend backend :
        {mps::FabricBackend::kShm, mps::FabricBackend::kSocket}) {
     so.backend = backend;
@@ -365,6 +392,36 @@ TEST(CrossProcess, ShmBackpressureTinyRing) {
   so.backend = mps::FabricBackend::kShm;
   so.record_trace = true;
   so.shm_ring_bytes = 4096;  // minimum ring: max segment 2016 bytes
+  so.recv_timeout = std::chrono::milliseconds(20000);
+  const mps::SpawnResult got = mps::spawn_local(
+      so, [cfg](mps::Communicator& comm) { return sweep_body(comm, cfg); });
+  for (std::int64_t r = 0; r < cfg.n; ++r) {
+    ASSERT_EQ(got.rank_payloads[static_cast<std::size_t>(r)],
+              oracle.rank_payloads[static_cast<std::size_t>(r)])
+        << "rank " << r;
+  }
+  ASSERT_TRUE(got.trace->to_schedule() == oracle.trace->to_schedule());
+}
+
+TEST(CrossProcess, ShmFrameCapSplitsOversizedMessages) {
+  // Every family with wire messages far above the ring's one-frame cap
+  // (2016 bytes for a 4096-byte ring) and segmentation forced off: the
+  // port engine must raise each message's segment count until every
+  // segment fits a ring record, identically on both ends.
+  SweepConfig cfg;
+  cfg.n = 4;
+  cfg.k = 2;
+  cfg.b = 5000;
+  cfg.seed = 0xF4A3;
+  cfg.segments = 1;
+  const mps::SpawnResult oracle = run_backend(cfg, mps::FabricBackend::kThread);
+
+  mps::SpawnOptions so;
+  so.n = cfg.n;
+  so.k = cfg.k;
+  so.backend = mps::FabricBackend::kShm;
+  so.record_trace = true;
+  so.shm_ring_bytes = 4096;
   so.recv_timeout = std::chrono::milliseconds(20000);
   const mps::SpawnResult got = mps::spawn_local(
       so, [cfg](mps::Communicator& comm) { return sweep_body(comm, cfg); });

@@ -1,15 +1,18 @@
 // Hierarchical (two-level leader-model) collectives: randomized shape
 // sweeps of the composite lowerings against the flat reference oracle
-// (payload compared bitwise), executor trace agreement, degenerate
+// (payload compared bitwise), blocking/nonblocking wire-trace agreement,
+// degenerate
 // partitions (singleton groups, one whole-fabric group, non-dividing group
 // sizes, the n = 1 fabric), the tuner's flat-vs-hierarchical pick at both
 // extremes of the intra/inter cost ratio, and the BRUCK_HIER /
 // BRUCK_HIER_GROUP_SIZE knobs end-to-end through the plain facade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "coll/api.hpp"
@@ -65,38 +68,34 @@ std::vector<HierCase> sweep_cases() {
   return cases;
 }
 
-AlltoallOptions hier_alltoall(std::int64_t g, ExecutionPath path, int start) {
+AlltoallOptions hier_alltoall(std::int64_t g, int start) {
   AlltoallOptions o;
   o.hier = HierMode::kOn;
   o.hier_group = g;
-  o.path = path;
   o.start_round = start;
   return o;
 }
 
-AllgatherOptions hier_allgather(std::int64_t g, ExecutionPath path,
-                                int start) {
+AllgatherOptions hier_allgather(std::int64_t g, int start) {
   AllgatherOptions o;
   o.hier = HierMode::kOn;
   o.hier_group = g;
-  o.path = path;
   o.start_round = start;
   return o;
 }
 
-ReduceScatterOptions hier_reduce_scatter(std::int64_t g, ExecutionPath path,
-                                         int start) {
+ReduceScatterOptions hier_reduce_scatter(std::int64_t g, int start) {
   ReduceScatterOptions o;
   o.hier = HierMode::kOn;
   o.hier_group = g;
-  o.path = path;
   o.start_round = start;
   return o;
 }
 
 // ---------------------------------------------------------------------------
 // Payload sweeps: hierarchical execution must be bitwise-identical to the
-// flat reference oracle on every shape, through both plan executors.
+// flat reference oracle on every shape, through both the blocking call and
+// its i* twin.
 
 TEST(Hierarchical, AlltoallMatchesFlatOracleBitwise) {
   for (const HierCase& c : sweep_cases()) {
@@ -110,26 +109,24 @@ TEST(Hierarchical, AlltoallMatchesFlatOracleBitwise) {
       const std::size_t bytes = static_cast<std::size_t>(c.n * c.b);
       std::vector<std::byte> send(bytes);
       std::vector<std::byte> want(bytes, std::byte{0xEE});
-      std::vector<std::byte> got_c(bytes, std::byte{0xEE});
-      std::vector<std::byte> got_p(bytes, std::byte{0xEE});
+      std::vector<std::byte> got_b(bytes, std::byte{0xEE});
+      std::vector<std::byte> got_nb(bytes, std::byte{0xEE});
       coll::fill_index_send(send, c.n, rank, c.b, seed);
 
       AlltoallOptions ref;
       ref.path = ExecutionPath::kReference;
       ref.hier = HierMode::kOff;
       int round = coll::alltoall(comm, send, want, c.b, ref);
-      round = coll::alltoall(comm, send, got_c, c.b,
-                             hier_alltoall(c.g, ExecutionPath::kCompiled,
-                                           round));
-      coll::alltoall(comm, send, got_p, c.b,
-                     hier_alltoall(c.g, ExecutionPath::kPipelined, round));
+      round = coll::alltoall(comm, send, got_b, c.b, hier_alltoall(c.g, round));
+      (void)coll::ialltoall(comm, send, got_nb, c.b, hier_alltoall(c.g, round))
+          .wait();
 
       err = coll::check_index_recv(want, c.n, rank, c.b, seed);
-      if (err.empty() && got_c != want) {
-        err = "compiled hierarchical payload diverges from the flat oracle";
+      if (err.empty() && got_b != want) {
+        err = "blocking hierarchical payload diverges from the flat oracle";
       }
-      if (err.empty() && got_p != want) {
-        err = "pipelined hierarchical payload diverges from the flat oracle";
+      if (err.empty() && got_nb != want) {
+        err = "nonblocking hierarchical payload diverges from the flat oracle";
       }
     });
     for (const std::string& e : errors) ASSERT_EQ(e, "");
@@ -148,26 +145,26 @@ TEST(Hierarchical, AllgatherMatchesFlatOracleBitwise) {
       std::vector<std::byte> send(static_cast<std::size_t>(c.b));
       const std::size_t bytes = static_cast<std::size_t>(c.n * c.b);
       std::vector<std::byte> want(bytes, std::byte{0xEE});
-      std::vector<std::byte> got_c(bytes, std::byte{0xEE});
-      std::vector<std::byte> got_p(bytes, std::byte{0xEE});
+      std::vector<std::byte> got_b(bytes, std::byte{0xEE});
+      std::vector<std::byte> got_nb(bytes, std::byte{0xEE});
       coll::fill_concat_send(send, rank, c.b, seed);
 
       AllgatherOptions ref;
       ref.path = ExecutionPath::kReference;
       ref.hier = HierMode::kOff;
       int round = coll::allgather(comm, send, want, c.b, ref);
-      round = coll::allgather(comm, send, got_c, c.b,
-                              hier_allgather(c.g, ExecutionPath::kCompiled,
-                                             round));
-      coll::allgather(comm, send, got_p, c.b,
-                      hier_allgather(c.g, ExecutionPath::kPipelined, round));
+      round =
+          coll::allgather(comm, send, got_b, c.b, hier_allgather(c.g, round));
+      (void)coll::iallgather(comm, send, got_nb, c.b,
+                             hier_allgather(c.g, round))
+          .wait();
 
       err = coll::check_concat_recv(want, c.n, c.b, seed);
-      if (err.empty() && got_c != want) {
-        err = "compiled hierarchical payload diverges from the flat oracle";
+      if (err.empty() && got_b != want) {
+        err = "blocking hierarchical payload diverges from the flat oracle";
       }
-      if (err.empty() && got_p != want) {
-        err = "pipelined hierarchical payload diverges from the flat oracle";
+      if (err.empty() && got_nb != want) {
+        err = "nonblocking hierarchical payload diverges from the flat oracle";
       }
     });
     for (const std::string& e : errors) ASSERT_EQ(e, "");
@@ -210,27 +207,26 @@ TEST(Hierarchical, ReduceScatterMatchesFlatOracleBitwise) {
 
       std::vector<std::byte> got_f(static_cast<std::size_t>(b),
                                    std::byte{0xEE});
-      std::vector<std::byte> got_c(static_cast<std::size_t>(b),
+      std::vector<std::byte> got_b(static_cast<std::size_t>(b),
                                    std::byte{0xEE});
-      std::vector<std::byte> got_p(static_cast<std::size_t>(b),
-                                   std::byte{0xEE});
+      std::vector<std::byte> got_nb(static_cast<std::size_t>(b),
+                                    std::byte{0xEE});
       ReduceScatterOptions ref;
       ref.path = ExecutionPath::kReference;
       ref.hier = HierMode::kOff;
       int round = coll::reduce_scatter(comm, send, got_f, b, op, ref);
-      round = coll::reduce_scatter(
-          comm, send, got_c, b, op,
-          hier_reduce_scatter(c.g, ExecutionPath::kCompiled, round));
-      coll::reduce_scatter(
-          comm, send, got_p, b, op,
-          hier_reduce_scatter(c.g, ExecutionPath::kPipelined, round));
+      round = coll::reduce_scatter(comm, send, got_b, b, op,
+                                   hier_reduce_scatter(c.g, round));
+      (void)coll::ireduce_scatter(comm, send, got_nb, b, op,
+                                  hier_reduce_scatter(c.g, round))
+          .wait();
 
       if (got_f != want) err = "flat oracle diverges from expectation";
-      if (err.empty() && got_c != want) {
-        err = "compiled hierarchical payload diverges from the flat oracle";
+      if (err.empty() && got_b != want) {
+        err = "blocking hierarchical payload diverges from the flat oracle";
       }
-      if (err.empty() && got_p != want) {
-        err = "pipelined hierarchical payload diverges from the flat oracle";
+      if (err.empty() && got_nb != want) {
+        err = "nonblocking hierarchical payload diverges from the flat oracle";
       }
     });
     for (const std::string& e : errors) ASSERT_EQ(e, "");
@@ -238,12 +234,14 @@ TEST(Hierarchical, ReduceScatterMatchesFlatOracleBitwise) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace agreement: both plan executors must put the identical message
-// pattern on the wire (same rounds, same C1/C2) for one hierarchical
-// composite, and the facade's returned round count must equal the
-// composite's uniform round_count().
+// Trace agreement: a blocking hierarchical call and its i* twin must put
+// the identical message pattern on the wire — every rank's sends at the
+// same rounds, to the same peers, with the same sizes (the i* chain runs
+// each operation in its own tag, but with chained start rounds it occupies
+// exactly the rounds of the blocking chain) — and the returned round count
+// must equal the composites' uniform round_count().
 
-mps::RunResult run_hier_chain(const HierCase& c, ExecutionPath path,
+mps::RunResult run_hier_chain(const HierCase& c, bool nonblocking,
                               std::vector<int>* rounds_out) {
   const std::uint64_t seed = 0x7AACEull + static_cast<std::uint64_t>(c.n);
   return mps::run_spmd(c.n, c.k, [&](mps::Communicator& comm) {
@@ -251,15 +249,20 @@ mps::RunResult run_hier_chain(const HierCase& c, ExecutionPath path,
     std::vector<std::byte> isend(static_cast<std::size_t>(c.n * c.b));
     std::vector<std::byte> irecv(isend.size(), std::byte{0xEE});
     coll::fill_index_send(isend, c.n, rank, c.b, seed);
-    int round = coll::alltoall(comm, isend, irecv, c.b,
-                               hier_alltoall(c.g, path, 0));
+    int round =
+        nonblocking
+            ? coll::ialltoall(comm, isend, irecv, c.b, hier_alltoall(c.g, 0))
+                  .wait()
+            : coll::alltoall(comm, isend, irecv, c.b, hier_alltoall(c.g, 0));
 
     std::vector<std::byte> csend(static_cast<std::size_t>(c.b));
     std::vector<std::byte> crecv(static_cast<std::size_t>(c.n * c.b),
                                  std::byte{0xEE});
     coll::fill_concat_send(csend, rank, c.b, seed + 1);
-    round = coll::allgather(comm, csend, crecv, c.b,
-                            hier_allgather(c.g, path, round));
+    const AllgatherOptions go = hier_allgather(c.g, round);
+    round = nonblocking
+                ? coll::iallgather(comm, csend, crecv, c.b, go).wait()
+                : coll::allgather(comm, csend, crecv, c.b, go);
 
     const std::int64_t rb = 8;
     const ReduceOp op = ReduceOp::sum(ReduceElem::kI64);
@@ -270,29 +273,43 @@ mps::RunResult run_hier_chain(const HierCase& c, ExecutionPath path,
     }
     std::vector<std::byte> rrecv(static_cast<std::size_t>(rb),
                                  std::byte{0xEE});
-    round = coll::reduce_scatter(comm, rsend, rrecv, rb, op,
-                                 hier_reduce_scatter(c.g, path, round));
+    const ReduceScatterOptions ro = hier_reduce_scatter(c.g, round);
+    round = nonblocking
+                ? coll::ireduce_scatter(comm, rsend, rrecv, rb, op, ro).wait()
+                : coll::reduce_scatter(comm, rsend, rrecv, rb, op, ro);
     if (rounds_out != nullptr) {
       (*rounds_out)[static_cast<std::size_t>(rank)] = round;
     }
   });
 }
 
-TEST(Hierarchical, ExecutorsAgreeOnTheWireTrace) {
+/// Every rank's sends as sorted (round, dst, bytes), tags dropped.
+std::vector<std::vector<std::tuple<int, std::int64_t, std::int64_t>>>
+untagged_sends(mps::Trace& trace, std::int64_t n) {
+  std::vector<std::vector<std::tuple<int, std::int64_t, std::int64_t>>> out(
+      static_cast<std::size_t>(n));
+  for (std::int64_t r = 0; r < n; ++r) {
+    auto& sends = out[static_cast<std::size_t>(r)];
+    for (const mps::SendEvent& e : trace.sink(r).sends()) {
+      sends.emplace_back(e.round, e.dst, e.bytes);
+    }
+    std::sort(sends.begin(), sends.end());
+  }
+  return out;
+}
+
+TEST(Hierarchical, BlockingAndNonblockingAgreeOnTheWireTrace) {
   const HierCase cases[] = {
       {4, 2, 2, 8}, {6, 4, 2, 5}, {9, 3, 1, 3}, {8, 8, 2, 4}, {7, 1, 2, 6},
   };
   for (const HierCase& c : cases) {
     SCOPED_TRACE(label(c));
-    std::vector<int> rounds_c(static_cast<std::size_t>(c.n), -1);
-    std::vector<int> rounds_p(static_cast<std::size_t>(c.n), -2);
-    const mps::RunResult rc =
-        run_hier_chain(c, ExecutionPath::kCompiled, &rounds_c);
-    const mps::RunResult rp =
-        run_hier_chain(c, ExecutionPath::kPipelined, &rounds_p);
-    ASSERT_TRUE(rc.trace->to_schedule() == rp.trace->to_schedule());
-    ASSERT_EQ(rc.trace->metrics(), rp.trace->metrics());
-    ASSERT_EQ(rounds_c, rounds_p);
+    std::vector<int> rounds_b(static_cast<std::size_t>(c.n), -1);
+    std::vector<int> rounds_nb(static_cast<std::size_t>(c.n), -2);
+    const mps::RunResult rb = run_hier_chain(c, false, &rounds_b);
+    const mps::RunResult rnb = run_hier_chain(c, true, &rounds_nb);
+    ASSERT_EQ(untagged_sends(*rb.trace, c.n), untagged_sends(*rnb.trace, c.n));
+    ASSERT_EQ(rounds_b, rounds_nb);
     // Every rank returns the same fabric-wide next round: the sum of the
     // three composites' uniform round counts, lowered for the same shapes
     // the facade resolves (the tuner names the inter radix even when the
@@ -322,7 +339,7 @@ TEST(Hierarchical, ExecutorsAgreeOnTheWireTrace) {
         coll::CompositePlan::lower_reduce_hier(
             c.n, c.k, 0, 8, ReduceOp::sum(ReduceElem::kI64), sr)
             .round_count();
-    for (const int r : rounds_c) ASSERT_EQ(r, want_rounds);
+    for (const int r : rounds_b) ASSERT_EQ(r, want_rounds);
   }
 }
 
@@ -425,7 +442,6 @@ TEST(Hierarchical, AutoModeFollowsTheTunerAtBothExtremes) {
       std::vector<std::byte> recv(send.size(), std::byte{0xEE});
       coll::fill_index_send(send, c.n, comm.rank(), c.b, 7);
       AlltoallOptions o;
-      o.path = ExecutionPath::kCompiled;
       o.hier = hier;
       o.hier_machine = m;
       coll::alltoall(comm, send, recv, c.b, o);
@@ -465,9 +481,7 @@ TEST(Hierarchical, EnvKnobsDriveThePlainFacade) {
       std::vector<std::byte> send(static_cast<std::size_t>(c.n * c.b));
       std::vector<std::byte> recv(send.size(), std::byte{0xEE});
       coll::fill_index_send(send, c.n, comm.rank(), c.b, 11);
-      AlltoallOptions o;
-      o.path = ExecutionPath::kCompiled;
-      coll::alltoall(comm, send, recv, c.b, o);
+      coll::alltoall(comm, send, recv, c.b);
     });
   };
 
@@ -483,8 +497,7 @@ TEST(Hierarchical, EnvKnobsDriveThePlainFacade) {
         std::vector<std::byte> send(static_cast<std::size_t>(c.n * c.b));
         std::vector<std::byte> recv(send.size(), std::byte{0xEE});
         coll::fill_index_send(send, c.n, comm.rank(), c.b, 11);
-        coll::alltoall(comm, send, recv, c.b,
-                       hier_alltoall(c.g, ExecutionPath::kCompiled, 0));
+        coll::alltoall(comm, send, recv, c.b, hier_alltoall(c.g, 0));
       });
 
   ASSERT_TRUE(env_run.trace->to_schedule() == forced_run.trace->to_schedule());

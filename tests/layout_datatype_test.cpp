@@ -82,7 +82,6 @@ std::string compare(std::span<const std::byte> got,
 TEST(LayoutDatatype, AlltoallRandomStridedSweep) {
   SplitMix64 rng(0x1A7007);
   const ExecutionPath paths[] = {ExecutionPath::kReference,
-                                 ExecutionPath::kCompiled,
                                  ExecutionPath::kPipelined};
   for (int trial = 0; trial < 14; ++trial) {
     const std::int64_t n = 1 + static_cast<std::int64_t>(rng.next_below(8));
@@ -96,12 +95,12 @@ TEST(LayoutDatatype, AlltoallRandomStridedSweep) {
                           ? Layout::vector(2, b / 2, b / 2 + 3)
                           : Layout::vector(1, b, b).with_block_stride(b + 5);
     const std::uint64_t seed = rng.next();
-    for (int pi = 0; pi < 3; ++pi) {
+    for (const ExecutionPath path : paths) {
       AlltoallOptions options;
-      options.path = paths[pi];
+      options.path = path;
       options.segments = static_cast<int>(rng.next_below(3));
       SCOPED_TRACE("trial=" + std::to_string(trial) + " n=" + std::to_string(n) +
-                   " k=" + std::to_string(k) + " path=" + std::to_string(pi) +
+                   " k=" + std::to_string(k) + " path=" + to_string(path) +
                    " sl=" + sl.describe() + " rl=" + rl.describe());
       std::vector<std::string> errors(static_cast<std::size_t>(n));
       mps::run_spmd(n, k, [&](mps::Communicator& comm) {
@@ -132,7 +131,6 @@ TEST(LayoutDatatype, AlltoallRandomStridedSweep) {
 TEST(LayoutDatatype, AllgatherRandomStridedSweep) {
   SplitMix64 rng(0xA11);
   const ExecutionPath paths[] = {ExecutionPath::kReference,
-                                 ExecutionPath::kCompiled,
                                  ExecutionPath::kPipelined};
   for (int trial = 0; trial < 10; ++trial) {
     const std::int64_t n = 1 + static_cast<std::int64_t>(rng.next_below(9));
@@ -142,7 +140,7 @@ TEST(LayoutDatatype, AllgatherRandomStridedSweep) {
     const Layout rl = Layout::vector(1, b, b).with_block_stride(b + 7);
     const std::uint64_t seed = rng.next();
     AllgatherOptions options;
-    options.path = paths[trial % 3];
+    options.path = paths[trial % 2];
     SCOPED_TRACE("trial=" + std::to_string(trial) + " n=" + std::to_string(n) +
                  " sl=" + sl.describe());
     std::vector<std::string> errors(static_cast<std::size_t>(n));
@@ -205,7 +203,6 @@ void accumulate_f64(std::span<std::byte> acc, std::span<const std::byte> in) {
 TEST(LayoutDatatype, ReduceScatterStridedMatchesStagedOracle) {
   SplitMix64 rng(0x5EDU);
   const ExecutionPath paths[] = {ExecutionPath::kReference,
-                                 ExecutionPath::kCompiled,
                                  ExecutionPath::kPipelined};
   for (int trial = 0; trial < 9; ++trial) {
     const std::int64_t n = 2 + static_cast<std::int64_t>(rng.next_below(7));
@@ -215,7 +212,7 @@ TEST(LayoutDatatype, ReduceScatterStridedMatchesStagedOracle) {
     const Layout rl = Layout::vector(b / 8, 8, 16);
     const std::uint64_t seed = rng.next();
     ReduceScatterOptions options;
-    options.path = paths[trial % 3];
+    options.path = paths[trial % 2];
     SCOPED_TRACE("trial=" + std::to_string(trial) + " n=" + std::to_string(n) +
                  " sl=" + sl.describe());
     const ReduceOp op = ReduceOp::sum(ReduceElem::kF64);
@@ -246,7 +243,6 @@ TEST(LayoutDatatype, ReduceScatterStridedMatchesStagedOracle) {
 TEST(LayoutDatatype, AllreduceStridedMatchesStagedOracle) {
   SplitMix64 rng(0xA11D);
   const ExecutionPath paths[] = {ExecutionPath::kReference,
-                                 ExecutionPath::kCompiled,
                                  ExecutionPath::kPipelined};
   for (int trial = 0; trial < 6; ++trial) {
     const std::int64_t n = 2 + static_cast<std::int64_t>(rng.next_below(6));
@@ -255,7 +251,7 @@ TEST(LayoutDatatype, AllreduceStridedMatchesStagedOracle) {
     const Layout rl = Layout::vector(bytes / 8, 8, 24);
     const std::uint64_t seed = rng.next();
     AllreduceOptions options;
-    options.path = paths[trial % 3];
+    options.path = paths[trial % 2];
     SCOPED_TRACE("trial=" + std::to_string(trial) + " n=" + std::to_string(n) +
                  " sl=" + sl.describe());
     const ReduceOp op = ReduceOp::sum(ReduceElem::kF64);
@@ -287,7 +283,6 @@ TEST(LayoutDatatype, AllreduceStridedMatchesStagedOracle) {
 TEST(LayoutDatatype, AlltoallvStridedCanonicalDispls) {
   SplitMix64 rng(0xA2A5);
   const ExecutionPath paths[] = {ExecutionPath::kReference,
-                                 ExecutionPath::kCompiled,
                                  ExecutionPath::kPipelined};
   for (int trial = 0; trial < 6; ++trial) {
     const std::int64_t n = 2 + static_cast<std::int64_t>(rng.next_below(6));
@@ -307,7 +302,7 @@ TEST(LayoutDatatype, AlltoallvStridedCanonicalDispls) {
     }
     const std::uint64_t seed = rng.next();
     AlltoallvOptions options;
-    options.path = paths[trial % 3];
+    options.path = paths[trial % 2];
     SCOPED_TRACE("trial=" + std::to_string(trial) + " n=" + std::to_string(n));
     std::vector<std::string> errors(static_cast<std::size_t>(n));
     mps::run_spmd(n, k, [&](mps::Communicator& comm) {
@@ -358,8 +353,7 @@ TEST(LayoutDatatype, TiledAndInterleavedBlockStride) {
     const std::int64_t b = sl.block_bytes();
     const Layout rl = Layout::contiguous(b);
     for (const ExecutionPath path :
-         {ExecutionPath::kReference, ExecutionPath::kCompiled,
-          ExecutionPath::kPipelined}) {
+         {ExecutionPath::kReference, ExecutionPath::kPipelined}) {
       AlltoallOptions options;
       options.path = path;
       SCOPED_TRACE(sl.describe() + " path=" +
@@ -392,7 +386,7 @@ TEST(LayoutDigest, ContiguousLayoutsKeyIdenticallyToPlainCalls) {
   const std::int64_t n = 6;
   const std::int64_t b = 24;
   AlltoallOptions options;
-  options.path = ExecutionPath::kCompiled;
+  options.segments = 1;
   const auto run_plain = [&] {
     mps::run_spmd(n, 1, [&](mps::Communicator& comm) {
       std::vector<std::byte> send(static_cast<std::size_t>(n * b));
@@ -426,7 +420,7 @@ TEST(LayoutDigest, StrideJitterSharesOnePlanAcrossCalls) {
   PlanCache::global().clear();
   const std::int64_t n = 6;
   AlltoallOptions options;
-  options.path = ExecutionPath::kCompiled;
+  options.segments = 1;
   const auto run_with = [&](const Layout& sl) {
     const std::int64_t b = sl.block_bytes();
     const Layout rl = Layout::vector(1, b, b).with_block_stride(b + 3);

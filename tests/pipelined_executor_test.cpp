@@ -149,18 +149,17 @@ TEST(PipelinedExecutor, ConcatRandomSweepMatchesReference) {
   }
 }
 
-TEST(PipelinedExecutor, PipelinedVsBlockingCompiledIdenticalTraces) {
-  // The two compiled executors walk the same plan; their traces (and plan
-  // stats) must be indistinguishable.
+TEST(PipelinedExecutor, SegmentCountLeavesTraceAndStatsUnchanged) {
+  // Wire segmentation is invisible to the trace: one logical send event
+  // per message, and identical plan stats, whatever the segment count.
   const std::int64_t n = 12;
   const int k = 2;
   const std::int64_t b = 32;
-  const auto run_with = [&](ExecutionPath path) {
+  const auto run_with = [&](int segments) {
     AlltoallOptions options;
     options.algorithm = IndexAlgorithm::kBruck;
     options.radix = 3;
-    options.path = path;
-    options.segments = path == ExecutionPath::kPipelined ? 2 : 0;
+    options.segments = segments;
     return testutil::run_index(
         n, k, b,
         [&](mps::Communicator& comm, std::span<const std::byte> send,
@@ -168,19 +167,19 @@ TEST(PipelinedExecutor, PipelinedVsBlockingCompiledIdenticalTraces) {
           return coll::alltoall(comm, send, recv, b, options);
         });
   };
-  const testutil::CollRun blocking = run_with(ExecutionPath::kCompiled);
-  const testutil::CollRun pipelined = run_with(ExecutionPath::kPipelined);
-  ASSERT_EQ(blocking.error, "");
-  ASSERT_EQ(pipelined.error, "");
-  sched::Schedule sb = blocking.trace->to_schedule();
-  sched::Schedule sp = pipelined.trace->to_schedule();
-  sb.normalize();
-  sp.normalize();
-  EXPECT_TRUE(sb == sp);
-  EXPECT_EQ(blocking.trace->plan_stats().bytes_sent,
-            pipelined.trace->plan_stats().bytes_sent);
-  EXPECT_EQ(blocking.trace->plan_stats().rounds,
-            pipelined.trace->plan_stats().rounds);
+  const testutil::CollRun whole = run_with(1);
+  const testutil::CollRun segmented = run_with(2);
+  ASSERT_EQ(whole.error, "");
+  ASSERT_EQ(segmented.error, "");
+  sched::Schedule sw = whole.trace->to_schedule();
+  sched::Schedule ss = segmented.trace->to_schedule();
+  sw.normalize();
+  ss.normalize();
+  EXPECT_TRUE(sw == ss);
+  EXPECT_EQ(whole.trace->plan_stats().bytes_sent,
+            segmented.trace->plan_stats().bytes_sent);
+  EXPECT_EQ(whole.trace->plan_stats().rounds,
+            segmented.trace->plan_stats().rounds);
 }
 
 TEST(PipelinedExecutor, LargeBlocksActuallySegmentOnTheWire) {

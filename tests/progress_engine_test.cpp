@@ -2,8 +2,9 @@
 // single-operation correctness per family, randomized concurrent sweeps of
 // 2-8 tagged operations with payload and per-tag trace equality against
 // sequential execution, wait_any collection, the serial FIFO fallback on
-// exchange-only wrappers, the drop-before-wait destructor contract, and
-// same-shape batching (fusion) statistics.
+// exchange-only wrappers, the drop-before-wait destructor contract,
+// same-shape batching (fusion) statistics, and agreement of every blocking
+// call with its i* twin (both run one resolved op).
 //
 // Reduction data is order-exact (small integers in f64), so fused,
 // concurrent, and blocking executions are compared bitwise.
@@ -11,11 +12,14 @@
 #include <array>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "coll/api.hpp"
+#include "coll/layout.hpp"
 #include "coll/progress.hpp"
 #include "coll/verify.hpp"
 #include "gtest/gtest.h"
@@ -651,6 +655,271 @@ TEST(ProgressEngine, SameShapeReduceScattersFuseAtKOne) {
   for (const ProgressStats& st : stats) {
     EXPECT_EQ(st.fused_groups, 1u);
     EXPECT_EQ(st.fused_members, static_cast<std::uint64_t>(G));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One resolver, one executor: a blocking call and its i* twin under
+// identical options run the same resolved op.  Both must record the same
+// PlanEvents (rounds, bytes, cache hit), put the same sends on the wire,
+// return the same next round, and leave bitwise-identical output — on every
+// family and overload, and for the hierarchical composites.
+
+/// Runs one family/overload into `recv`: blocking, or as its i* twin.
+using TwinCall = std::function<int(mps::Communicator& comm, bool nonblocking,
+                                   std::span<std::byte> recv)>;
+
+/// Small-integer doubles (order-exact under any combine order).
+std::vector<std::byte> small_f64_buffer(std::int64_t bytes,
+                                        std::uint64_t seed) {
+  std::vector<std::byte> out(static_cast<std::size_t>(bytes));
+  SplitMix64 rng(seed);
+  for (std::int64_t i = 0; i + 8 <= bytes; i += 8) {
+    const double v = static_cast<double>(rng.next_below(201)) - 100.0;
+    std::memcpy(out.data() + i, &v, 8);
+  }
+  return out;
+}
+
+using SendKey = std::tuple<int, std::int64_t, std::int64_t>;
+using EventKey = std::tuple<bool, int, std::int64_t, std::int64_t>;
+
+void expect_twins_agree(std::int64_t n, int k, const std::string& name,
+                        std::int64_t recv_bytes, const TwinCall& call) {
+  SCOPED_TRACE(name);
+  std::vector<std::string> errors(static_cast<std::size_t>(n));
+  const mps::RunResult run = mps::run_spmd(n, k, [&](mps::Communicator& comm) {
+    std::string& err = errors[static_cast<std::size_t>(comm.rank())];
+    std::vector<std::byte> warm(static_cast<std::size_t>(recv_bytes));
+    std::vector<std::byte> got_b(warm.size(), std::byte{0xEE});
+    std::vector<std::byte> got_nb(warm.size(), std::byte{0xEE});
+    (void)call(comm, true, warm);  // lowers every plan: both twins hit
+    const int next_b = call(comm, false, got_b);
+    const int next_nb = call(comm, true, got_nb);
+    if (next_b != next_nb) err = "next rounds differ";
+    if (got_b != got_nb) err = "payloads differ";
+  });
+  for (const std::string& e : errors) ASSERT_EQ(e, "");
+  for (std::int64_t r = 0; r < n; ++r) {
+    const mps::TraceSink& sink = run.trace->sink(r);
+    int twin_tag = 0;
+    for (const mps::PlanEvent& e : sink.plans()) {
+      twin_tag = std::max(twin_tag, e.tag);
+    }
+    ASSERT_GT(twin_tag, 0);
+    std::vector<EventKey> events_b;
+    std::vector<EventKey> events_nb;
+    for (const mps::PlanEvent& e : sink.plans()) {
+      const EventKey key{e.cache_hit, e.rounds, e.bytes_sent, e.bytes_reduced};
+      if (e.tag == 0) events_b.push_back(key);
+      if (e.tag == twin_tag) events_nb.push_back(key);
+    }
+    ASSERT_FALSE(events_b.empty()) << "rank " << r;
+    EXPECT_EQ(events_b, events_nb) << "rank " << r;
+    for (const EventKey& e : events_b) EXPECT_TRUE(std::get<0>(e));
+    std::vector<SendKey> sends_b;
+    std::vector<SendKey> sends_nb;
+    for (const mps::SendEvent& e : sink.sends()) {
+      if (e.tag == 0) sends_b.emplace_back(e.round, e.dst, e.bytes);
+      if (e.tag == twin_tag) sends_nb.emplace_back(e.round, e.dst, e.bytes);
+    }
+    std::sort(sends_b.begin(), sends_b.end());
+    std::sort(sends_nb.begin(), sends_nb.end());
+    EXPECT_EQ(sends_b, sends_nb) << "rank " << r;
+  }
+}
+
+TEST(ProgressEngine, BlockingAndNonblockingTwinsAgree) {
+  const std::int64_t n = 7;
+  const int k = 2;
+  const std::int64_t b = 24;
+  const auto f64 = ReduceOp::sum(ReduceElem::kF64);
+
+  for (const coll::HierMode hier :
+       {coll::HierMode::kOff, coll::HierMode::kOn}) {
+    const std::string mode = hier == coll::HierMode::kOn ? " hier" : "";
+    AlltoallOptions ao;
+    ao.hier = hier;
+    ao.hier_group = 3;
+    expect_twins_agree(
+        n, k, "alltoall" + mode, n * b,
+        [&](mps::Communicator& comm, bool nb, std::span<std::byte> recv) {
+          std::vector<std::byte> send(static_cast<std::size_t>(n * b));
+          coll::fill_index_send(send, n, comm.rank(), b, 11);
+          return nb ? coll::ialltoall(comm, send, recv, b, ao).wait()
+                    : coll::alltoall(comm, send, recv, b, ao);
+        });
+    AllgatherOptions go;
+    go.hier = hier;
+    go.hier_group = 3;
+    expect_twins_agree(
+        n, k, "allgather" + mode, n * b,
+        [&](mps::Communicator& comm, bool nb, std::span<std::byte> recv) {
+          std::vector<std::byte> send(static_cast<std::size_t>(b));
+          coll::fill_concat_send(send, comm.rank(), b, 12);
+          return nb ? coll::iallgather(comm, send, recv, b, go).wait()
+                    : coll::allgather(comm, send, recv, b, go);
+        });
+    ReduceScatterOptions ro;
+    ro.hier = hier;
+    ro.hier_group = 3;
+    expect_twins_agree(
+        n, k, "reduce_scatter" + mode, 4 * 8,
+        [&](mps::Communicator& comm, bool nb, std::span<std::byte> recv) {
+          const std::vector<std::byte> send =
+              fill_reduce_send(n, comm.rank(), 4, 13);
+          return nb ? coll::ireduce_scatter(comm, send, recv, 32, f64, ro)
+                          .wait()
+                    : coll::reduce_scatter(comm, send, recv, 32, f64, ro);
+        });
+  }
+
+  expect_twins_agree(
+      n, k, "allreduce", 10 * 8,
+      [&](mps::Communicator& comm, bool nb, std::span<std::byte> recv) {
+        const std::vector<std::byte> send = small_f64_buffer(
+            10 * 8, 14 + static_cast<std::uint64_t>(comm.rank()));
+        return nb ? coll::iallreduce(comm, send, recv, f64).wait()
+                  : coll::allreduce(comm, send, recv, f64);
+      });
+
+  std::vector<std::int64_t> counts(static_cast<std::size_t>(n * n));
+  for (std::int64_t i = 0; i < n * n; ++i) {
+    counts[static_cast<std::size_t>(i)] = (i * 5) % 9;  // 0..8, zeros too
+  }
+  const auto row_bytes = [&](std::int64_t rank, const coll::Layout* lay) {
+    std::int64_t total = 0;
+    for (std::int64_t j = 0; j < n; ++j) {
+      const std::int64_t c = counts[static_cast<std::size_t>(rank * n + j)];
+      total += lay != nullptr ? lay->span_of(c) : c;
+    }
+    return total;
+  };
+  const auto col_bytes = [&](std::int64_t rank, const coll::Layout* lay) {
+    std::int64_t total = 0;
+    for (std::int64_t i = 0; i < n; ++i) {
+      const std::int64_t c = counts[static_cast<std::size_t>(i * n + rank)];
+      total += lay != nullptr ? lay->span_of(c) : c;
+    }
+    return total;
+  };
+  std::int64_t max_col = 0;
+  for (std::int64_t r = 0; r < n; ++r) {
+    max_col = std::max(max_col, col_bytes(r, nullptr));
+  }
+  expect_twins_agree(
+      n, k, "alltoallv", max_col,
+      [&](mps::Communicator& comm, bool nb, std::span<std::byte> recv) {
+        const std::vector<std::byte> send = small_f64_buffer(
+            row_bytes(comm.rank(), nullptr) + 8, 15);
+        const auto out = recv.first(
+            static_cast<std::size_t>(col_bytes(comm.rank(), nullptr)));
+        return nb ? coll::ialltoallv(comm, send, out, counts).wait()
+                  : coll::alltoallv(comm, send, out, counts);
+      });
+
+  // Strided layout overloads.
+  const coll::Layout isl = coll::Layout::vector(3, 8, 11);  // 24 B blocks
+  const coll::Layout irl =
+      coll::Layout::vector(1, 24, 24).with_block_stride(29);
+  expect_twins_agree(
+      n, k, "alltoall layout", irl.span_bytes(n),
+      [&](mps::Communicator& comm, bool nb, std::span<std::byte> recv) {
+        const std::vector<std::byte> send =
+            small_f64_buffer(isl.span_bytes(n) + 8,
+                             16 + static_cast<std::uint64_t>(comm.rank()));
+        return nb ? coll::ialltoall(comm, send, recv, isl, irl).wait()
+                  : coll::alltoall(comm, send, recv, isl, irl);
+      });
+  expect_twins_agree(
+      n, k, "allgather layout", irl.span_bytes(n),
+      [&](mps::Communicator& comm, bool nb, std::span<std::byte> recv) {
+        const std::vector<std::byte> send =
+            small_f64_buffer(isl.span_bytes(1) + 8,
+                             17 + static_cast<std::uint64_t>(comm.rank()));
+        return nb ? coll::iallgather(comm, send, recv, isl, irl).wait()
+                  : coll::allgather(comm, send, recv, isl, irl);
+      });
+  const coll::Layout rsl = coll::Layout::vector(2, 16, 24);  // 32 B blocks
+  const coll::Layout rrl = coll::Layout::vector(4, 8, 16);
+  expect_twins_agree(
+      n, k, "reduce_scatter layout", rrl.span_bytes(1),
+      [&](mps::Communicator& comm, bool nb, std::span<std::byte> recv) {
+        const std::vector<std::byte> send = small_f64_buffer(
+            rsl.span_bytes(n), 18 + static_cast<std::uint64_t>(comm.rank()));
+        return nb ? coll::ireduce_scatter(comm, send, recv, rsl, rrl, f64)
+                        .wait()
+                  : coll::reduce_scatter(comm, send, recv, rsl, rrl, f64);
+      });
+  const coll::Layout asl = coll::Layout::vector(6, 8, 16);  // 48 B payload
+  const coll::Layout arl = coll::Layout::vector(3, 16, 24);
+  expect_twins_agree(
+      n, k, "allreduce layout", arl.span_bytes(1),
+      [&](mps::Communicator& comm, bool nb, std::span<std::byte> recv) {
+        const std::vector<std::byte> send = small_f64_buffer(
+            asl.span_bytes(1), 19 + static_cast<std::uint64_t>(comm.rank()));
+        return nb ? coll::iallreduce(comm, send, recv, asl, arl, f64).wait()
+                  : coll::allreduce(comm, send, recv, asl, arl, f64);
+      });
+  // Covers every pair count (at most 8 bytes).
+  const coll::Layout vsl = coll::Layout::vector(2, 4, 7);
+  const coll::Layout vrl = coll::Layout::vector(8, 1, 2);
+  std::int64_t max_vcol = 0;
+  for (std::int64_t r = 0; r < n; ++r) {
+    max_vcol = std::max(max_vcol, col_bytes(r, &vrl));
+  }
+  expect_twins_agree(
+      n, k, "alltoallv layout", max_vcol,
+      [&](mps::Communicator& comm, bool nb, std::span<std::byte> recv) {
+        const std::vector<std::byte> send =
+            small_f64_buffer(row_bytes(comm.rank(), &vsl) + 8, 20);
+        const auto out = recv.first(
+            static_cast<std::size_t>(col_bytes(comm.rank(), &vrl)));
+        return nb ? coll::ialltoallv(comm, send, out, counts, {}, {}, vsl, vrl)
+                        .wait()
+                  : coll::alltoallv(comm, send, out, counts, {}, {}, vsl, vrl);
+      });
+}
+
+TEST(ProgressEngine, HierarchicalOperationsNeverFuse) {
+  // The geometry of SameShapeAlltoallsFuseAtKOne, where flat members fuse;
+  // hierarchical composites must run one exchange (and tag) each.
+  const std::int64_t n = 8;
+  const int k = 1;
+  const std::int64_t b = 1024;
+  const int G = 4;
+  std::vector<std::string> errors(static_cast<std::size_t>(n));
+  std::vector<ProgressStats> stats(static_cast<std::size_t>(n));
+  mps::run_spmd(n, k, [&](mps::Communicator& comm) {
+    const std::int64_t rank = comm.rank();
+    AlltoallOptions o;
+    o.hier = coll::HierMode::kOn;
+    o.hier_group = 4;
+    std::vector<std::vector<std::byte>> send(static_cast<std::size_t>(G));
+    std::vector<std::vector<std::byte>> recv(static_cast<std::size_t>(G));
+    std::vector<Request> reqs;
+    for (int g = 0; g < G; ++g) {
+      auto& s = send[static_cast<std::size_t>(g)];
+      s.resize(static_cast<std::size_t>(n * b));
+      recv[static_cast<std::size_t>(g)].assign(s.size(), std::byte{0xEE});
+      coll::fill_index_send(s, n, rank, b, 900 + static_cast<std::uint64_t>(g));
+      reqs.push_back(
+          coll::ialltoall(comm, s, recv[static_cast<std::size_t>(g)], b, o));
+    }
+    coll::wait_all(reqs);
+    std::string& err = errors[static_cast<std::size_t>(rank)];
+    for (int g = 0; g < G && err.empty(); ++g) {
+      err = coll::check_index_recv(recv[static_cast<std::size_t>(g)], n, rank,
+                                   b, 900 + static_cast<std::uint64_t>(g));
+    }
+    stats[static_cast<std::size_t>(rank)] =
+        ProgressEngine::for_comm(comm).stats();
+  });
+  for (const std::string& e : errors) ASSERT_EQ(e, "");
+  for (const ProgressStats& st : stats) {
+    EXPECT_EQ(st.completed, static_cast<std::uint64_t>(G));
+    EXPECT_EQ(st.fused_groups, 0u);
+    EXPECT_EQ(st.tags_used, static_cast<std::uint64_t>(G));
   }
 }
 

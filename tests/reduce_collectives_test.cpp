@@ -260,8 +260,7 @@ TEST(ReduceScatter, AllOpsAllTypesAllPaths) {
   for (const ReduceKind kind : kKinds) {
     for (const ReduceElem elem : kElems) {
       for (const ExecutionPath path :
-           {ExecutionPath::kReference, ExecutionPath::kCompiled,
-            ExecutionPath::kPipelined}) {
+           {ExecutionPath::kReference, ExecutionPath::kPipelined}) {
         ReduceScatterOptions options;
         options.path = path;
         dispatch_elem(elem, [&]<typename T>() {
@@ -289,8 +288,8 @@ TEST(ReduceScatter, RandomizedSweepAllAlgorithms) {
     const ReduceKind kind = kKinds[rng.next_below(4)];
     const ReduceElem elem = kElems[rng.next_below(4)];
     const ExecutionPath path =
-        std::array{ExecutionPath::kReference, ExecutionPath::kCompiled,
-                   ExecutionPath::kPipelined}[rng.next_below(3)];
+        std::array{ExecutionPath::kReference,
+                   ExecutionPath::kPipelined}[rng.next_below(2)];
 
     ReduceScatterOptions options;
     options.path = path;
@@ -332,8 +331,7 @@ TEST(ReduceScatter, RandomizedSweepAllAlgorithms) {
 
 TEST(ReduceScatter, DegenerateShapes) {
   for (const ExecutionPath path :
-       {ExecutionPath::kReference, ExecutionPath::kCompiled,
-        ExecutionPath::kPipelined}) {
+       {ExecutionPath::kReference, ExecutionPath::kPipelined}) {
     ReduceScatterOptions options;
     options.path = path;
     // n = 1: the result is this rank's own contribution.
@@ -367,8 +365,8 @@ TEST(Allreduce, RandomizedSweep) {
     const ReduceKind kind = kKinds[rng.next_below(4)];
     const ReduceElem elem = kElems[rng.next_below(4)];
     const ExecutionPath path =
-        std::array{ExecutionPath::kReference, ExecutionPath::kCompiled,
-                   ExecutionPath::kPipelined}[rng.next_below(3)];
+        std::array{ExecutionPath::kReference,
+                   ExecutionPath::kPipelined}[rng.next_below(2)];
     AllreduceOptions options;
     options.path = path;
     if (rng.next_below(2) == 0) {
@@ -404,8 +402,7 @@ TEST(ReduceScatter, UserFunctionEscapeHatch) {
       },
       /*elem_bytes=*/8);
   for (const ExecutionPath path :
-       {ExecutionPath::kReference, ExecutionPath::kCompiled,
-        ExecutionPath::kPipelined}) {
+       {ExecutionPath::kReference, ExecutionPath::kPipelined}) {
     std::vector<std::string> errors(static_cast<std::size_t>(n));
     mps::run_spmd(n, k, [&](mps::Communicator& comm) {
       const std::int64_t rank = comm.rank();
@@ -449,7 +446,7 @@ std::shared_ptr<mps::Trace> traced_reduce(std::int64_t n, int k,
                                             options, "traced");
 }
 
-TEST(ReduceScatter, TraceMetricsAgreeAcrossExecutors) {
+TEST(ReduceScatter, TraceMetricsAgreeAcrossSegmentCounts) {
   const std::int64_t n = 12;
   const int k = 2;
   const std::int64_t be = 5;
@@ -458,20 +455,19 @@ TEST(ReduceScatter, TraceMetricsAgreeAcrossExecutors) {
     ReduceScatterOptions options;
     options.algorithm = algorithm;
     options.radix = algorithm == ReduceAlgorithm::kBruck ? 3 : 0;
-    options.path = ExecutionPath::kCompiled;
-    const model::CostMetrics compiled =
+    options.segments = 1;
+    const model::CostMetrics whole =
         traced_reduce(n, k, be, options)->metrics();
-    options.path = ExecutionPath::kPipelined;
-    const model::CostMetrics pipelined =
+    options.segments = 4;
+    const model::CostMetrics segmented =
         traced_reduce(n, k, be, options)->metrics();
-    EXPECT_EQ(compiled.c1, pipelined.c1);
-    EXPECT_EQ(compiled.c2, pipelined.c2);
-    EXPECT_EQ(compiled.total_bytes, pipelined.total_bytes);
+    EXPECT_EQ(whole.c1, segmented.c1);
+    EXPECT_EQ(whole.c2, segmented.c2);
+    EXPECT_EQ(whole.total_bytes, segmented.total_bytes);
   }
   // Direct plan vs the per-pair reference: identical round structure.
   ReduceScatterOptions direct;
   direct.algorithm = ReduceAlgorithm::kDirect;
-  direct.path = ExecutionPath::kCompiled;
   const model::CostMetrics plan_m = traced_reduce(n, k, be, direct)->metrics();
   direct.path = ExecutionPath::kReference;
   const model::CostMetrics ref_m = traced_reduce(n, k, be, direct)->metrics();
@@ -504,20 +500,16 @@ TEST(ReduceScatter, BytesReducedAccounting) {
   const std::int64_t b = be * 8;
   for (const ReduceAlgorithm algorithm :
        {ReduceAlgorithm::kBruck, ReduceAlgorithm::kDirect}) {
-    for (const ExecutionPath path :
-         {ExecutionPath::kCompiled, ExecutionPath::kPipelined}) {
-      ReduceScatterOptions options;
-      options.algorithm = algorithm;
-      options.radix = 2;
-      options.path = path;
-      const auto trace = traced_reduce(n, k, be, options);
-      const mps::PlanStats stats = trace->plan_stats();
-      EXPECT_EQ(stats.uses, static_cast<std::uint64_t>(n));
-      // Every rank combines exactly the n−1 foreign contributions.
-      EXPECT_EQ(stats.bytes_reduced, n * (n - 1) * b)
-          << coll::to_string(algorithm) << "/" << coll::to_string(path);
-      EXPECT_EQ(stats.bytes_sent, n * (n - 1) * b);
-    }
+    ReduceScatterOptions options;
+    options.algorithm = algorithm;
+    options.radix = 2;
+    const auto trace = traced_reduce(n, k, be, options);
+    const mps::PlanStats stats = trace->plan_stats();
+    EXPECT_EQ(stats.uses, static_cast<std::uint64_t>(n));
+    // Every rank combines exactly the n−1 foreign contributions.
+    EXPECT_EQ(stats.bytes_reduced, n * (n - 1) * b)
+        << coll::to_string(algorithm);
+    EXPECT_EQ(stats.bytes_sent, n * (n - 1) * b);
   }
 }
 
